@@ -246,10 +246,10 @@ int main(int argc, char** argv) {
     double t2_best_ms = 0.0;
     {
       double ms = 0.0;
-      std::uint64_t hash = 0;  // untimed warmup launch feeds the ordinal
+      std::uint64_t hash = 0;  // untimed first launch pays the lowering
       DynamicProfile p = one_run(u, ms, hash);
       if (!profiles_equal(p, reference) || hash != ref_hash) {
-        std::cerr << "TIER DIVERGENCE: " << u.kernel_name << " (warmup launch)\n";
+        std::cerr << "TIER DIVERGENCE: " << u.kernel_name << " (lowering launch)\n";
         mismatch = true;
       }
     }

@@ -311,13 +311,11 @@ LaunchCacheStats LaunchCache::stats() const {
 
 LaunchEvaluation LaunchCache::evaluate(const GpuArch& arch, const KernelIR& kernel,
                                        const LaunchDims& dims, const KernelArgs& args,
-                                       AddressSpace& memory, Bypass bypass,
-                                       const ObserverFactory& observer) {
-  if (observer) bypass = Bypass::kHook;
+                                       AddressSpace& memory, Bypass bypass) {
   if (!enabled_.load(std::memory_order_relaxed)) {
     // Disabled: the plain path, not a counted bypass — zero-hit runs stay
     // byte-identical to a build without the cache.
-    return evaluate_functional(arch, kernel, dims, args, memory, observer);
+    return evaluate_functional(arch, kernel, dims, args, memory);
   }
   if (bypass == Bypass::kNone &&
       interp_detail::DecodedCache::instance().get(kernel)->has_global_atomics) {
@@ -325,7 +323,7 @@ LaunchEvaluation LaunchCache::evaluate(const GpuArch& arch, const KernelIR& kern
   }
   if (bypass != Bypass::kNone) {
     bypasses_.fetch_add(1, std::memory_order_relaxed);
-    LaunchEvaluation out = evaluate_functional(arch, kernel, dims, args, memory, observer);
+    LaunchEvaluation out = evaluate_functional(arch, kernel, dims, args, memory);
     out.cache = LaunchCacheOutcome::kBypass;
     return out;
   }
@@ -384,7 +382,7 @@ LaunchEvaluation LaunchCache::execute_and_fill(const GpuArch& arch, const Kernel
   const std::size_t chunks = Interpreter::canonical_chunks(dims);
   std::vector<ChunkCapture> capture(chunks);
   AddressSpace* mem = &memory;
-  ObserverFactory recorder = [&capture, mem](std::size_t chunk) -> MemAccessHook {
+  const auto recorder = [&capture, mem](std::size_t chunk) -> MemAccessHook {
     ChunkCapture* cap = &capture[chunk];
     return [cap, mem](std::uint64_t addr, std::uint32_t bytes, bool is_store) {
       if (!is_store) {
@@ -611,7 +609,7 @@ void LaunchCache::verify_hit(const Entry& entry, const GpuArch& arch, const Kern
   // copying the whole space per hit is the point — it proves replay ==
   // recompute without disturbing the caller.
   AddressSpace scratch = memory;
-  LaunchEvaluation fresh = evaluate_functional(arch, kernel, dims, args, scratch, nullptr);
+  LaunchEvaluation fresh = evaluate_functional(arch, kernel, dims, args, scratch);
   SIGVP_REQUIRE(stats_equal(fresh.stats, entry.stats),
                 kernel.name + ": launch cache verify: stats diverge from recomputation");
   SIGVP_REQUIRE(profiles_equal(fresh.profile, entry.profile),

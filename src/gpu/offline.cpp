@@ -8,12 +8,6 @@
 
 namespace sigvp {
 
-LaunchEvaluation evaluate_functional(const GpuArch& arch, const KernelIR& kernel,
-                                     const LaunchDims& dims, const KernelArgs& args,
-                                     AddressSpace& memory) {
-  return evaluate_functional(arch, kernel, dims, args, memory, nullptr);
-}
-
 LaunchEvaluation evaluate_functional(
     const GpuArch& arch, const KernelIR& kernel, const LaunchDims& dims,
     const KernelArgs& args, AddressSpace& memory,
@@ -27,13 +21,19 @@ LaunchEvaluation evaluate_functional(
   std::vector<CacheModel> shards(chunks, CacheModel(arch.l2));
 
   Interpreter::Options options;
-  options.shard_hook = [&shards](std::size_t chunk) -> MemAccessHook {
+  options.access_hook = [&shards, &capture](std::size_t chunk) -> MemAccessHook {
     CacheModel* shard = &shards[chunk];
-    return [shard](std::uint64_t addr, std::uint32_t bytes, bool /*is_store*/) {
+    if (!capture) {
+      return [shard](std::uint64_t addr, std::uint32_t bytes, bool /*is_store*/) {
+        shard->access(addr, bytes);
+      };
+    }
+    return [shard, record = capture(chunk)](std::uint64_t addr, std::uint32_t bytes,
+                                            bool is_store) {
+      record(addr, bytes, is_store);  // first, while memory holds pre-store bytes
       shard->access(addr, bytes);
     };
   };
-  options.capture_hook = capture;
 
   Interpreter interp;
   LaunchEvaluation out;

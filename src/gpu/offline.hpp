@@ -34,18 +34,16 @@ struct LaunchEvaluation {
 /// simulation for `arch`, then prices the run with the cost model. This is
 /// the "execute on the host GPU and profile it" step of the paper's
 /// Profile-Based Execution Analysis (Fig. 7, step 2).
-LaunchEvaluation evaluate_functional(const GpuArch& arch, const KernelIR& kernel,
-                                     const LaunchDims& dims, const KernelArgs& args,
-                                     AddressSpace& memory);
-
-/// As above, but additionally installs `capture` as the interpreter's
-/// per-chunk access recorder (Interpreter::Options::capture_hook), composed
-/// with the L2 shard hook. The launch cache uses this to record a launch's
-/// read-set/write-set on the fill path without perturbing stats or profile.
+///
+/// A non-empty `capture` is a per-chunk access recorder composed ahead of
+/// each chunk's L2 shard in the interpreter's access hook, so it sees every
+/// access before it is applied. The launch cache uses it to record a
+/// launch's read-set/write-set on the fill path without perturbing stats or
+/// profile.
 LaunchEvaluation evaluate_functional(
     const GpuArch& arch, const KernelIR& kernel, const LaunchDims& dims,
     const KernelArgs& args, AddressSpace& memory,
-    const std::function<MemAccessHook(std::size_t chunk)>& capture);
+    const std::function<MemAccessHook(std::size_t chunk)>& capture = {});
 
 /// Prices a launch from an analytic profile (per-block λ counts and byte
 /// traffic) plus a locality summary, without touching data — used for

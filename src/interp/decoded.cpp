@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstring>
 
+#include "interp/superinst.hpp"
 #include "util/check.hpp"
 
 namespace sigvp::interp_detail {
@@ -580,30 +581,67 @@ DecodedCache& DecodedCache::instance() {
   return cache;
 }
 
+namespace {
+
+std::size_t decoded_bytes(const DecodedProgram& prog) {
+  return prog.code.size() * sizeof(DecodedInstr) +
+         prog.blocks.size() * sizeof(DecodedBlock);
+}
+
+}  // namespace
+
 std::shared_ptr<const DecodedProgram> DecodedCache::get(const KernelIR& ir) {
   const std::uint64_t fp = kernel_fingerprint(ir);
   {
     std::lock_guard<std::mutex> lock(mutex_);
     auto it = map_.find(&ir);
-    if (it != map_.end() && it->second->fingerprint == fp) return it->second;
+    if (it != map_.end() && it->second.decoded->fingerprint == fp) return it->second.decoded;
   }
   // Decode outside the lock: concurrent launches of distinct kernels decode
   // in parallel; a rare duplicate decode of the same kernel is harmless.
   std::shared_ptr<const DecodedProgram> prog = decode_kernel(ir);
   std::lock_guard<std::mutex> lock(mutex_);
-  auto it = map_.find(&ir);
-  if (it != map_.end()) {
-    // Stale (or racing) entry: replace in place, keeping the key's original
-    // FIFO position so eviction order stays a function of first insertion.
-    cur_bytes_ -= program_bytes(*it->second);
-    it->second = prog;
-  } else {
-    map_.emplace(&ir, prog);
-    fifo_.push_back(&ir);
-  }
-  cur_bytes_ += program_bytes(*prog);
+  auto [it, inserted] = map_.try_emplace(&ir);
+  // Lost a race to a concurrent decode of the same kernel: keep the winner.
+  if (!inserted && it->second.decoded->fingerprint == fp) return it->second.decoded;
+  // A stale entry is replaced in place, keeping the key's original FIFO
+  // position so eviction order stays a function of first insertion; its
+  // lowerings belong to the old decode and go with it.
+  if (inserted) fifo_.push_back(&ir);
+  cur_bytes_ -= it->second.bytes;
+  it->second = Entry{prog, {}, decoded_bytes(*prog)};
+  cur_bytes_ += it->second.bytes;
   evict_to_cap_locked();
   return prog;
+}
+
+DecodedCache::Lowered DecodedCache::lowered(const KernelIR& ir,
+                                            const std::shared_ptr<const DecodedProgram>& prog,
+                                            unsigned stride_shift) {
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    auto it = map_.find(&ir);
+    if (it != map_.end() && it->second.decoded == prog &&
+        stride_shift < it->second.lowered.size() && it->second.lowered[stride_shift]) {
+      return {it->second.lowered[stride_shift], false};
+    }
+  }
+  // Lower outside the lock (deterministic, so a rare duplicate lowering of
+  // the same kernel is identical work; only the one kept counts as compiled).
+  std::shared_ptr<const Tier2Program> prog2 = lower_program(*prog, stride_shift);
+  if (prog2 == nullptr) return {};
+  std::lock_guard<std::mutex> lock(mutex_);
+  auto it = map_.find(&ir);
+  // Evicted or re-decoded meanwhile: run this lowering uncached.
+  if (it == map_.end() || it->second.decoded != prog) return {prog2, true};
+  Entry& e = it->second;
+  if (stride_shift >= e.lowered.size()) e.lowered.resize(stride_shift + 1);
+  if (e.lowered[stride_shift]) return {e.lowered[stride_shift], false};  // lost the race
+  e.lowered[stride_shift] = prog2;
+  e.bytes += prog2->mem_bytes();
+  cur_bytes_ += prog2->mem_bytes();
+  evict_to_cap_locked();
+  return {prog2, true};
 }
 
 void DecodedCache::clear() {
@@ -631,18 +669,13 @@ void DecodedCache::set_capacity(std::size_t max_entries, std::size_t max_bytes) 
   evict_to_cap_locked();
 }
 
-std::size_t DecodedCache::program_bytes(const DecodedProgram& prog) {
-  return prog.code.size() * sizeof(DecodedInstr) +
-         prog.blocks.size() * sizeof(DecodedBlock);
-}
-
 void DecodedCache::evict_to_cap_locked() {
   while (map_.size() > max_entries_ || cur_bytes_ > max_bytes_) {
     if (fifo_head_ >= fifo_.size()) break;  // invariant: never reached
     const KernelIR* victim = fifo_[fifo_head_++];
     auto it = map_.find(victim);
     if (it != map_.end()) {
-      cur_bytes_ -= program_bytes(*it->second);
+      cur_bytes_ -= it->second.bytes;
       map_.erase(it);
       ++evictions_;
     }

@@ -81,17 +81,22 @@ std::uint64_t kernel_fingerprint(const KernelIR& ir);
 /// branches to nonexistent blocks (the builder/validator never emit them).
 std::shared_ptr<const DecodedProgram> decode_kernel(const KernelIR& ir);
 
-/// Process-wide cache of decoded programs, keyed by kernel identity
-/// (address) and invalidated by structural fingerprint: rebuilding a kernel
-/// in place (same KernelIR object, new body) re-decodes on the next launch.
-/// Thread-safe; entries are shared_ptrs so a concurrent invalidation never
-/// pulls a program out from under a running launch.
+struct Tier2Program;
+
+/// The process-wide kernel cache: one entry per kernel, keyed by kernel
+/// identity (address) and validated by structural fingerprint, holding the
+/// decoded program and its Tier-2 lowerings (one per SoA stride shift).
+/// Rebuilding a kernel in place (same KernelIR object, new body) re-decodes
+/// on the next launch and drops the stale lowerings with the stale decode.
+/// Thread-safe; programs are shared_ptrs so a concurrent invalidation never
+/// pulls one out from under a running launch.
 ///
 /// Bounded: under kernel churn the map would grow without limit, so the
-/// cache enforces a deterministic entries/bytes cap with FIFO eviction in
-/// insertion order (the launch cache's policy). An in-place fingerprint
-/// refresh keeps the entry's original FIFO position. Evicted programs are
-/// merely re-decoded on their next launch — results are unaffected.
+/// cache enforces a deterministic entries/bytes cap (bytes of both forms)
+/// with FIFO eviction in insertion order (the launch cache's policy). An
+/// in-place fingerprint refresh keeps the entry's original FIFO position.
+/// An evicted kernel is merely re-decoded and re-lowered on its next
+/// launch — results are unaffected.
 class DecodedCache {
  public:
   static constexpr std::size_t kDefaultMaxEntries = 512;
@@ -101,6 +106,18 @@ class DecodedCache {
 
   /// Returns the cached decode of `ir`, re-decoding when absent or stale.
   std::shared_ptr<const DecodedProgram> get(const KernelIR& ir);
+
+  /// A Tier-2 lowering and whether this lookup had to lower it.
+  struct Lowered {
+    std::shared_ptr<const Tier2Program> program;  // null: unsupported program
+    bool compiled = false;
+  };
+
+  /// Tier-2 lowering of `prog` (the decode get(ir) returned) for an SoA
+  /// stride of `1 << stride_shift`: lowered on first request and kept in the
+  /// kernel's entry until the entry is evicted or re-decoded.
+  Lowered lowered(const KernelIR& ir, const std::shared_ptr<const DecodedProgram>& prog,
+                  unsigned stride_shift);
 
   /// Drops every entry (tests use this to measure cold decodes).
   void clear();
@@ -114,11 +131,16 @@ class DecodedCache {
   void set_capacity(std::size_t max_entries, std::size_t max_bytes);
 
  private:
-  static std::size_t program_bytes(const DecodedProgram& prog);
+  struct Entry {
+    std::shared_ptr<const DecodedProgram> decoded;
+    std::vector<std::shared_ptr<const Tier2Program>> lowered;  // by stride shift
+    std::size_t bytes = 0;                                     // both forms
+  };
+
   void evict_to_cap_locked();
 
   mutable std::mutex mutex_;
-  std::unordered_map<const KernelIR*, std::shared_ptr<const DecodedProgram>> map_;
+  std::unordered_map<const KernelIR*, Entry> map_;
   std::vector<const KernelIR*> fifo_;  // keys in insertion order
   std::size_t fifo_head_ = 0;
   std::size_t max_entries_ = kDefaultMaxEntries;

@@ -69,50 +69,6 @@ struct RunnerArenas {
   Tier2Arena t2;
 };
 
-/// Executes the blocks of one canonical chunk serially in row-major order on
-/// whichever tier the launch selected (`t2` non-null ⇒ Tier 2), accumulating
-/// λ/barrier counts into `chunk_profile` (full-size block_visits; merged by
-/// the caller in chunk order). Per-block observables are tier-invariant, so
-/// the chunk/hook plumbing is shared.
-void run_chunk(const DecodedProgram& prog, const Tier2Program* t2, const KernelIR& ir,
-               const LaunchDims& dims, const KernelArgs& args, AddressSpace& global,
-               const MemAccessHook* hook, const Interpreter::Options& options,
-               RunnerArenas& arenas, DynamicProfile& chunk_profile, ChunkRange range) {
-  for (std::uint64_t lin = range.first; lin < range.last; ++lin) {
-    const auto bx = static_cast<std::uint32_t>(lin % dims.grid_x);
-    const auto by = static_cast<std::uint32_t>(lin / dims.grid_x);
-    if (t2 != nullptr) {
-      run_tier2_block(*t2, ir, dims, args, global, hook, options.max_instrs_per_thread,
-                      arenas.t2, chunk_profile, bx, by);
-    } else {
-      run_decoded_block(prog, ir, dims, args, global, hook, options.max_instrs_per_thread,
-                        options.strict_barriers, arenas.t1, chunk_profile, bx, by);
-    }
-  }
-}
-
-/// Composes the per-chunk observer for canonical chunk `c`: the capture
-/// recorder (if any) fires first so it can snapshot pre-store bytes, then
-/// the shard/mem observer. Returns an empty hook when nothing observes.
-MemAccessHook compose_chunk_hook(const Interpreter::Options& options, std::size_t c) {
-  MemAccessHook base;
-  if (options.shard_hook) {
-    base = options.shard_hook(c);
-  } else if (options.mem_hook) {
-    base = options.mem_hook;
-  }
-  MemAccessHook capture;
-  if (options.capture_hook) capture = options.capture_hook(c);
-  if (base && capture) {
-    return [base = std::move(base), capture = std::move(capture)](
-               std::uint64_t addr, std::uint32_t bytes, bool is_store) {
-      capture(addr, bytes, is_store);
-      base(addr, bytes, is_store);
-    };
-  }
-  return base ? std::move(base) : std::move(capture);
-}
-
 /// Derives every λ-reconstructible counter of `profile` from its merged
 /// block_visits and the decoded per-block static summaries. By the
 /// interpreter's documented contract (profile.hpp) these equal what
@@ -145,12 +101,11 @@ DynamicProfile execute_launch(const KernelIR& ir, const DecodedProgram& prog,
   const std::uint64_t num_blocks = dims.num_blocks();
   const std::size_t chunks = Interpreter::canonical_chunks(dims);
 
-  // Resolve the worker budget. The legacy mem_hook observes accesses in
-  // global serial order, and global atomics make cross-chunk memory order
-  // observable — both force serial chunk execution (which reproduces the
-  // old row-major serial semantics exactly).
+  // Global atomics make cross-chunk memory order observable, so they force
+  // serial chunk execution (which reproduces the old row-major serial
+  // semantics exactly).
   std::size_t workers = run::inner_parallel_workers(options.workers);
-  if (options.mem_hook || prog.has_global_atomics) workers = 1;
+  if (prog.has_global_atomics) workers = 1;
   workers = std::min(workers, chunks);
 
   // Host-domain chunk spans: how the simulator's own threads spent their
@@ -159,30 +114,45 @@ DynamicProfile execute_launch(const KernelIR& ir, const DecodedProgram& prog,
   trace::Tracer* tracer = trace::Tracer::active();
   const char* const span_cat = t2 != nullptr ? "tier2" : "interp";
 
-  if (workers <= 1) {
-    // Serial path: chunks in canonical order on the calling thread. Shard
-    // hooks still see per-chunk streams so results match the parallel path.
-    RunnerArenas arenas;
-    for (std::size_t c = 0; c < chunks; ++c) {
-      MemAccessHook combined = compose_chunk_hook(options, c);
-      const MemAccessHook* hook = combined ? &combined : nullptr;
-      const double host_t0 = tracer != nullptr ? tracer->host_now_us() : 0.0;
-      run_chunk(prog, t2, ir, dims, args, global, hook, options, arenas, profile,
-                chunk_range(num_blocks, chunks, c));
-      if (tracer != nullptr) {
-        tracer->complete(tracer->host_pid(), tracer->host_tid(), span_cat,
-                         ir.name + "#" + std::to_string(c), host_t0,
-                         tracer->host_now_us() - host_t0,
-                         {trace::arg("chunk", static_cast<int>(c))});
+  // One canonical chunk, on whichever thread runs it: its own access hook,
+  // its blocks serially in row-major order on the selected tier (per-block
+  // observables are tier-invariant), λ/barrier counts into `into`, its span.
+  const auto run_one_chunk = [&](std::size_t c, RunnerArenas& arenas, DynamicProfile& into) {
+    const MemAccessHook hook = options.access_hook ? options.access_hook(c) : MemAccessHook{};
+    const MemAccessHook* const hook_ptr = hook ? &hook : nullptr;
+    const double host_t0 = tracer != nullptr ? tracer->host_now_us() : 0.0;
+    const ChunkRange range = chunk_range(num_blocks, chunks, c);
+    for (std::uint64_t lin = range.first; lin < range.last; ++lin) {
+      const auto bx = static_cast<std::uint32_t>(lin % dims.grid_x);
+      const auto by = static_cast<std::uint32_t>(lin / dims.grid_x);
+      if (t2 != nullptr) {
+        run_tier2_block(*t2, ir, dims, args, global, hook_ptr, options.max_instrs_per_thread,
+                        arenas.t2, into, bx, by);
+      } else {
+        run_decoded_block(prog, ir, dims, args, global, hook_ptr,
+                          options.max_instrs_per_thread, options.strict_barriers, arenas.t1,
+                          into, bx, by);
       }
     }
+    if (tracer != nullptr) {
+      tracer->complete(tracer->host_pid(), tracer->host_tid(), span_cat,
+                       ir.name + "#" + std::to_string(c), host_t0,
+                       tracer->host_now_us() - host_t0,
+                       {trace::arg("chunk", static_cast<int>(c))});
+    }
+  };
+
+  if (workers <= 1) {
+    // Serial path: chunks in canonical order on the calling thread.
+    RunnerArenas arenas;
+    for (std::size_t c = 0; c < chunks; ++c) run_one_chunk(c, arenas, profile);
     finalize_from_visits(prog, profile);
     return profile;
   }
 
   // Parallel path: `workers` runner tasks pull chunk indices from a shared
-  // counter. Each chunk accumulates into a private profile (and optional
-  // private shard hook); merges happen below in canonical chunk order.
+  // counter. Each chunk accumulates into a private profile; merges happen
+  // below in canonical chunk order.
   std::vector<DynamicProfile> chunk_profiles(chunks);
   for (DynamicProfile& p : chunk_profiles) p.block_visits.assign(ir.blocks.size(), 0);
   std::vector<std::exception_ptr> chunk_errors(chunks);
@@ -197,17 +167,7 @@ DynamicProfile execute_launch(const KernelIR& ir, const DecodedProgram& prog,
         const std::size_t c = next_chunk.fetch_add(1, std::memory_order_relaxed);
         if (c >= chunks || failed.load(std::memory_order_relaxed)) return;
         try {
-          MemAccessHook combined = compose_chunk_hook(options, c);
-          const MemAccessHook* hook = combined ? &combined : nullptr;
-          const double host_t0 = tracer != nullptr ? tracer->host_now_us() : 0.0;
-          run_chunk(prog, t2, ir, dims, args, global, hook, options, arenas,
-                    chunk_profiles[c], chunk_range(num_blocks, chunks, c));
-          if (tracer != nullptr) {
-            tracer->complete(tracer->host_pid(), tracer->host_tid(), span_cat,
-                             ir.name + "#" + std::to_string(c), host_t0,
-                             tracer->host_now_us() - host_t0,
-                             {trace::arg("chunk", static_cast<int>(c))});
-          }
+          run_one_chunk(c, arenas, chunk_profiles[c]);
         } catch (...) {
           chunk_errors[c] = std::current_exception();
           failed.store(true, std::memory_order_relaxed);
@@ -259,20 +219,18 @@ DynamicProfile Interpreter::run(const KernelIR& ir, const LaunchDims& dims,
                 "launch dimensions must be positive");
   SIGVP_REQUIRE(args.values.size() >= ir.num_params,
                 ir.name + ": launch provides fewer arguments than the kernel declares");
-  SIGVP_REQUIRE(!(options.mem_hook && options.shard_hook),
-                ir.name + ": mem_hook and shard_hook are mutually exclusive");
 
   const std::shared_ptr<const DecodedProgram> prog = DecodedCache::instance().get(ir);
 
   // Tier decision: a pure function of the sim-domain launch stream (see
   // Tier2Engine::select). Launch observables are byte-exact either way.
   Tier2Engine& engine = Tier2Engine::instance();
-  const std::shared_ptr<const Tier2Program> t2 = engine.select(
-      ir, *prog, dims, args, static_cast<bool>(options.mem_hook), options.strict_barriers);
+  const std::shared_ptr<const Tier2Program> t2 =
+      engine.select(ir, prog, dims, options.strict_barriers);
 
   if (t2 != nullptr && engine.verify()) {
     // SIGVP_TIER_VERIFY divergence oracle: snapshot memory, run Tier 2 for
-    // real (hooks and all), then replay the launch from the snapshot on a
+    // real (access hook and all), then replay the launch from the snapshot on a
     // serial hook-free Tier 1 and insist on identical profile + memory.
     AddressSpace reference = global;
     DynamicProfile got = execute_launch(ir, *prog, t2.get(), dims, args, global, options);

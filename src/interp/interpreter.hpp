@@ -64,28 +64,15 @@ class Interpreter {
     /// Abort threshold against runaway kernels (per-thread dynamic instrs).
     std::uint64_t max_instrs_per_thread = 100'000'000;
 
-    /// Legacy observer for global-memory traffic. Order-sensitive: setting
-    /// it forces fully serial execution so accesses arrive in the exact
-    /// historical order (row-major blocks, row-major threads). Mutually
-    /// exclusive with `shard_hook`.
-    MemAccessHook mem_hook;
-
-    /// Parallel-friendly observer factory: called once per canonical chunk
-    /// (`shard_hook(chunk)`), and the returned hook sees that chunk's
-    /// accesses in deterministic intra-chunk order. Chunks run concurrently,
-    /// so the factory and the hooks it returns must be safe to invoke from
-    /// different threads for *different* chunks. The GPU cost model uses
-    /// this for per-chunk cold L2 shards merged in chunk order.
-    std::function<MemAccessHook(std::size_t chunk)> shard_hook;
-
-    /// Read-set/write-set capture factory, composable with either hook
-    /// above: called once per canonical chunk, and the returned recorder
-    /// observes that chunk's global accesses (before each access is
-    /// applied, so a store recorder can still read the pre-store bytes).
-    /// Unlike mem_hook it never forces serial execution — same threading
-    /// contract as shard_hook. The launch-evaluation cache uses this to
-    /// record which memory a launch consumed and produced.
-    std::function<MemAccessHook(std::size_t chunk)> capture_hook;
+    /// Global-memory access observer factory: called once per canonical
+    /// chunk (`access_hook(chunk)`), and the returned hook sees that chunk's
+    /// accesses in deterministic intra-chunk order, before each access is
+    /// applied (so a store observer can still read the pre-store bytes).
+    /// Chunks run concurrently, so the factory and the hooks it returns must
+    /// be safe to invoke from different threads for *different* chunks. The
+    /// GPU model plugs its per-chunk cold L2 shards and the launch cache's
+    /// read-set/write-set recorder in here.
+    std::function<MemAccessHook(std::size_t chunk)> access_hook;
 
     /// Worker threads for grid-level parallelism. 0 = automatic: the host
     /// default, collapsed to 1 inside an outer ThreadPool worker (nested

@@ -700,14 +700,10 @@ void check_tier_divergence(const KernelIR& ir, const DynamicProfile& ref,
 
 namespace {
 
-std::uint64_t mix64(std::uint64_t h, std::uint64_t v) {
-  h ^= v + 0x9E3779B97F4A7C15ull + (h << 6) + (h >> 2);
-  return h;
-}
-
-unsigned stride_shift_for(std::uint64_t threads_per_block) {
+/// SoA lane stride (as a shift) covering every thread of a block of `dims`.
+unsigned stride_shift(const LaunchDims& dims) {
   unsigned s = 0;
-  while ((1ull << s) < threads_per_block) ++s;
+  while ((1ull << s) < dims.threads_per_block()) ++s;
   return s;
 }
 
@@ -718,18 +714,6 @@ std::uint64_t static_heat(const interp_detail::DecodedProgram& prog, const Launc
   const std::uint64_t threads = dims.total_threads();
   if (instrs != 0 && threads > ~0ull / instrs) return ~0ull;  // saturate
   return threads * instrs;
-}
-
-std::uint64_t promo_key(const interp_detail::DecodedProgram& prog, const LaunchDims& dims,
-                        const KernelArgs& args) {
-  std::uint64_t h = prog.fingerprint;
-  h = mix64(h, dims.grid_x);
-  h = mix64(h, dims.grid_y);
-  h = mix64(h, dims.block_x);
-  h = mix64(h, dims.block_y);
-  h = mix64(h, args.values.size());
-  for (std::uint64_t v : args.values) h = mix64(h, v);
-  return h;
 }
 
 }  // namespace
@@ -754,46 +738,23 @@ Tier2Engine& Tier2Engine::instance() {
   return engine;
 }
 
-void Tier2Engine::set_capacity(std::size_t max_entries, std::size_t max_bytes) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  max_entries_ = max_entries;
-  max_bytes_ = max_bytes;
-}
-
-void Tier2Engine::set_promotion(std::uint64_t min_static_heat,
-                                std::uint32_t warmup_launches) {
-  min_static_heat_.store(min_static_heat, std::memory_order_relaxed);
-  warmup_launches_.store(warmup_launches, std::memory_order_relaxed);
-}
-
 Tier2Stats Tier2Engine::stats() const {
   Tier2Stats s;
   s.launches_tier2 = launches_tier2_.load(std::memory_order_relaxed);
-  s.launches_warming = launches_warming_.load(std::memory_order_relaxed);
   s.launches_tier1 = launches_tier1_.load(std::memory_order_relaxed);
   s.compiles = compiles_.load(std::memory_order_relaxed);
   s.fused_superinsts = fused_superinsts_.load(std::memory_order_relaxed);
   s.verify_launches = verify_launches_.load(std::memory_order_relaxed);
-  s.evictions = evictions_.load(std::memory_order_relaxed);
-  s.lowered_entries = lowered_entries_.load(std::memory_order_relaxed);
   return s;
 }
 
 void Tier2Engine::reset() {
-  std::lock_guard<std::mutex> lock(mutex_);
-  ordinals_.clear();
-  lowered_.clear();
-  fifo_.clear();
-  fifo_head_ = 0;
-  cur_bytes_ = 0;
+  interp_detail::DecodedCache::instance().clear();
   launches_tier2_.store(0, std::memory_order_relaxed);
-  launches_warming_.store(0, std::memory_order_relaxed);
   launches_tier1_.store(0, std::memory_order_relaxed);
   compiles_.store(0, std::memory_order_relaxed);
   fused_superinsts_.store(0, std::memory_order_relaxed);
   verify_launches_.store(0, std::memory_order_relaxed);
-  evictions_.store(0, std::memory_order_relaxed);
-  lowered_entries_.store(0, std::memory_order_relaxed);
 }
 
 bool Tier2Engine::eligible(const interp_detail::DecodedProgram& prog,
@@ -802,107 +763,34 @@ bool Tier2Engine::eligible(const interp_detail::DecodedProgram& prog,
          static_heat(prog, dims) >= min_static_heat_.load(std::memory_order_relaxed);
 }
 
-std::shared_ptr<const interp_detail::Tier2Program> Tier2Engine::lowered_get(
-    const KernelIR& ir, const interp_detail::DecodedProgram& prog, unsigned shift) {
-  const std::uint64_t key = mix64(prog.fingerprint, shift);
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    auto it = lowered_.find(key);
-    if (it != lowered_.end() && it->second->fingerprint == prog.fingerprint &&
-        it->second->stride_shift == shift) {
-      return it->second;
-    }
+std::shared_ptr<const interp_detail::Tier2Program> Tier2Engine::select(
+    const KernelIR& ir, const std::shared_ptr<const interp_detail::DecodedProgram>& prog,
+    const LaunchDims& dims, bool strict_barriers) {
+  // Forced Tier 1, strict-barrier diagnostics, global atomics / unknown ops
+  // and (unless forced to Tier 2) cold launches stay on Tier 1.
+  const Mode mode = mode_.load(std::memory_order_relaxed);
+  const bool promote = mode == Mode::kForceTier2 ? interp_detail::tier2_supported(*prog)
+                                                 : eligible(*prog, dims);
+  if (mode == Mode::kForceTier1 || strict_barriers || !promote) {
+    launches_tier1_.fetch_add(1, std::memory_order_relaxed);
+    return nullptr;
   }
-  // Lower outside the lock (deterministic, so a rare duplicate lowering of
-  // the same kernel is identical work; only the unique insert is counted).
   trace::Tracer* tracer = trace::Tracer::active();
   const double host_t0 = tracer != nullptr ? tracer->host_now_us() : 0.0;
-  std::shared_ptr<const interp_detail::Tier2Program> prog2 =
-      interp_detail::lower_program(prog, shift);
-  if (prog2 == nullptr) return nullptr;
-
-  std::lock_guard<std::mutex> lock(mutex_);
-  auto it = lowered_.find(key);
-  if (it != lowered_.end() && it->second->fingerprint == prog.fingerprint &&
-      it->second->stride_shift == shift) {
-    return it->second;  // lost the race; keep the winner, count no compile
-  }
-  if (it != lowered_.end()) {
-    cur_bytes_ -= it->second->mem_bytes();  // stale fingerprint, replace in place
-    lowered_.erase(it);
-  }
-  lowered_.emplace(key, prog2);
-  fifo_.push_back(key);
-  cur_bytes_ += prog2->mem_bytes();
-  compiles_.fetch_add(1, std::memory_order_relaxed);
-  fused_superinsts_.fetch_add(prog2->fused_pairs, std::memory_order_relaxed);
-  if (tracer != nullptr) {
-    tracer->complete(tracer->host_pid(), tracer->host_tid(), "tier2", "lower:" + ir.name,
-                     host_t0, tracer->host_now_us() - host_t0,
-                     {trace::arg("fused", static_cast<int>(prog2->fused_pairs)),
-                      trace::arg("instrs", static_cast<int>(prog2->code.size()))});
-  }
-  while (lowered_.size() > max_entries_ || cur_bytes_ > max_bytes_) {
-    if (fifo_head_ >= fifo_.size()) break;
-    const std::uint64_t victim = fifo_[fifo_head_++];
-    auto vit = lowered_.find(victim);
-    if (vit != lowered_.end()) {
-      cur_bytes_ -= vit->second->mem_bytes();
-      lowered_.erase(vit);
-      evictions_.fetch_add(1, std::memory_order_relaxed);
+  const interp_detail::DecodedCache::Lowered lowered =
+      interp_detail::DecodedCache::instance().lowered(ir, prog, stride_shift(dims));
+  if (lowered.compiled) {
+    compiles_.fetch_add(1, std::memory_order_relaxed);
+    fused_superinsts_.fetch_add(lowered.program->fused_pairs, std::memory_order_relaxed);
+    if (tracer != nullptr) {
+      tracer->complete(tracer->host_pid(), tracer->host_tid(), "tier2", "lower:" + ir.name,
+                       host_t0, tracer->host_now_us() - host_t0,
+                       {trace::arg("fused", static_cast<int>(lowered.program->fused_pairs)),
+                        trace::arg("instrs", static_cast<int>(lowered.program->code.size()))});
     }
-  }
-  if (fifo_head_ > 64 && fifo_head_ * 2 > fifo_.size()) {
-    fifo_.erase(fifo_.begin(),
-                fifo_.begin() + static_cast<std::ptrdiff_t>(fifo_head_));
-    fifo_head_ = 0;
-  }
-  lowered_entries_.store(lowered_.size(), std::memory_order_relaxed);
-  return prog2;
-}
-
-std::shared_ptr<const interp_detail::Tier2Program> Tier2Engine::select(
-    const KernelIR& ir, const interp_detail::DecodedProgram& prog, const LaunchDims& dims,
-    const KernelArgs& args, bool has_mem_hook, bool strict_barriers) {
-  const Mode mode = mode_.load(std::memory_order_relaxed);
-  if (mode == Mode::kForceTier1) {
-    launches_tier1_.fetch_add(1, std::memory_order_relaxed);
-    return nullptr;
-  }
-  // Unsupported constructs stay on Tier 1: the legacy serial mem_hook,
-  // strict-barrier diagnostics, global atomics / unknown ops.
-  if (has_mem_hook || strict_barriers || !interp_detail::tier2_supported(prog)) {
-    launches_tier1_.fetch_add(1, std::memory_order_relaxed);
-    return nullptr;
-  }
-  if (mode == Mode::kAuto) {
-    if (static_heat(prog, dims) < min_static_heat_.load(std::memory_order_relaxed)) {
-      launches_tier1_.fetch_add(1, std::memory_order_relaxed);
-      return nullptr;
-    }
-    // Per-key warmup ordinal: how many identical (kernel, dims, args)
-    // launches preceded this one, process-wide. Counted under a lock so the
-    // ordinal — and therefore the tier decision — is a pure function of the
-    // sim-domain launch multiset, not of worker interleaving.
-    const std::uint64_t key = promo_key(prog, dims, args);
-    std::uint32_t ordinal = 0;
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      ordinal = ordinals_[key]++;
-    }
-    if (ordinal < warmup_launches_.load(std::memory_order_relaxed)) {
-      launches_warming_.fetch_add(1, std::memory_order_relaxed);
-      return nullptr;
-    }
-  }
-  std::shared_ptr<const interp_detail::Tier2Program> prog2 =
-      lowered_get(ir, prog, stride_shift_for(dims.threads_per_block()));
-  if (prog2 == nullptr) {
-    launches_tier1_.fetch_add(1, std::memory_order_relaxed);
-    return nullptr;
   }
   launches_tier2_.fetch_add(1, std::memory_order_relaxed);
-  return prog2;
+  return lowered.program;
 }
 
 }  // namespace sigvp

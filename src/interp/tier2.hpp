@@ -3,31 +3,27 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
-#include <mutex>
-#include <unordered_map>
 #include <vector>
 
 #include "interp/superinst.hpp"
 
 namespace sigvp {
 
-/// Process-wide Tier-2 counters. All fields except `lowered_entries` are
-/// monotonically increasing totals; `lowered_entries` is the current level
-/// of the lowered-program cache. `operator-` yields a delta (levels pass
-/// through), mirroring LaunchCacheStats.
+/// Process-wide Tier-2 counters, all monotonically increasing totals;
+/// `operator-` yields a delta, mirroring LaunchCacheStats. The lowered
+/// programs themselves live in the kernel cache (interp_detail::DecodedCache),
+/// whose eviction counter covers both program forms.
 ///
 /// Every count is a pure function of the sim-domain launch stream: tier
 /// decisions never look at wall-clock or worker interleaving, so two runs of
 /// the same fleet produce identical deltas at any `--workers`.
 struct Tier2Stats {
   std::uint64_t launches_tier2 = 0;    ///< launches executed on Tier 2
-  std::uint64_t launches_warming = 0;  ///< supported+hot but inside warmup
+  std::uint64_t launches_warming = 0;  ///< always 0: promotion has no warmup
   std::uint64_t launches_tier1 = 0;    ///< cold / unsupported / forced Tier 1
-  std::uint64_t compiles = 0;          ///< distinct (fingerprint, stride) lowers
+  std::uint64_t compiles = 0;          ///< lowerings performed on promotion
   std::uint64_t fused_superinsts = 0;  ///< static fused pairs across compiles
   std::uint64_t verify_launches = 0;   ///< Tier-2 launches cross-checked on Tier 1
-  std::uint64_t evictions = 0;         ///< lowered-cache FIFO evictions
-  std::uint64_t lowered_entries = 0;   ///< current lowered-cache size (level)
 
   Tier2Stats operator-(const Tier2Stats& base) const {
     Tier2Stats d;
@@ -37,37 +33,29 @@ struct Tier2Stats {
     d.compiles = compiles - base.compiles;
     d.fused_superinsts = fused_superinsts - base.fused_superinsts;
     d.verify_launches = verify_launches - base.verify_launches;
-    d.evictions = evictions - base.evictions;
-    d.lowered_entries = lowered_entries;  // level, not a delta
     return d;
   }
   bool operator==(const Tier2Stats&) const = default;
 };
 
 /// Tier-2 execution engine: decides per launch whether to run the lowered
-/// threaded code or fall back to the Tier-1 interpreter, and owns the
-/// process-wide lowered-program cache (FIFO-bounded like the launch cache).
+/// threaded code or fall back to the Tier-1 interpreter.
 ///
 /// Promotion policy (DESIGN.md §15): a launch runs on Tier 2 iff
-///   1. nothing forces Tier 1 (legacy mem_hook, strict barriers, global
-///      atomics, unsupported opcodes, `SIGVP_TIER=1`), and
+///   1. nothing forces Tier 1 (strict barriers, global atomics, unsupported
+///      opcodes, `SIGVP_TIER=1`), and
 ///   2. its static heat `total_threads × static_instrs` reaches the
-///      threshold, and
-///   3. at least `warmup` prior launches of the same (kernel fingerprint,
-///      dims, args) key have been seen — a per-key ordinal, counted
-///      process-wide under a lock, so the decision depends only on how many
-///      identical launches preceded this one in the sim domain, never on
-///      worker interleaving.
-/// `SIGVP_TIER=2` skips (2) and (3); results are byte-exact either way.
+///      threshold.
+/// Its kernel is lowered on the first such launch and the lowering is kept
+/// in the kernel's DecodedCache entry. Both tests are pure functions of
+/// (kernel, dims), so the decision never depends on worker interleaving.
+/// `SIGVP_TIER=2` skips (2); results are byte-exact either way.
 class Tier2Engine {
  public:
   enum class Mode { kAuto, kForceTier1, kForceTier2 };
 
-  /// Defaults; tests override via set_capacity / set_promotion.
-  static constexpr std::size_t kDefaultMaxEntries = 1024;
-  static constexpr std::size_t kDefaultMaxBytes = 64u << 20;
+  /// Default heat threshold; tests override it via set_promotion.
   static constexpr std::uint64_t kDefaultMinStaticHeat = 4096;
-  static constexpr std::uint32_t kDefaultWarmupLaunches = 1;
 
   /// Singleton; first use reads SIGVP_TIER / SIGVP_TIER_VERIFY.
   static Tier2Engine& instance();
@@ -77,60 +65,44 @@ class Tier2Engine {
   bool verify() const { return verify_.load(std::memory_order_relaxed); }
   void set_verify(bool v) { verify_.store(v, std::memory_order_relaxed); }
 
-  void set_capacity(std::size_t max_entries, std::size_t max_bytes);
-  void set_promotion(std::uint64_t min_static_heat, std::uint32_t warmup_launches);
+  void set_promotion(std::uint64_t min_static_heat) {
+    min_static_heat_.store(min_static_heat, std::memory_order_relaxed);
+  }
 
   Tier2Stats stats() const;
 
-  /// Drops the lowered cache, promotion ordinals, and all counters (mode,
-  /// verify flag, capacity and promotion knobs are left as configured).
+  /// Zeroes every counter and drops the kernel cache, so the next launches
+  /// pay cold decodes and lowerings (mode, verify flag and heat threshold
+  /// are left as configured).
   void reset();
 
-  /// Pure eligibility: would a warmed-up launch of `prog` at `dims` run on
-  /// Tier 2 under the auto policy? No state is read or written beyond the
-  /// configured thresholds — the per-scenario metrics counter uses this.
+  /// Pure eligibility: would a launch of `prog` at `dims` run on Tier 2
+  /// under the auto policy? No state is read or written beyond the
+  /// configured threshold — the per-scenario metrics counter uses this.
   bool eligible(const interp_detail::DecodedProgram& prog, const LaunchDims& dims) const;
 
-  /// Launch-time tier decision. Returns the lowered program to execute, or
-  /// nullptr to stay on Tier 1. Bumps the per-key warmup ordinal and the
-  /// stats counters; lowers (and caches) the program on first promotion.
+  /// Launch-time tier decision for `prog` (the kernel cache's decode of
+  /// `ir`). Returns the lowered program to execute, or nullptr to stay on
+  /// Tier 1; bumps the stats counters.
   std::shared_ptr<const interp_detail::Tier2Program> select(
-      const KernelIR& ir, const interp_detail::DecodedProgram& prog,
-      const LaunchDims& dims, const KernelArgs& args, bool has_mem_hook,
-      bool strict_barriers);
+      const KernelIR& ir, const std::shared_ptr<const interp_detail::DecodedProgram>& prog,
+      const LaunchDims& dims, bool strict_barriers);
 
   void note_verified() { verify_launches_.fetch_add(1, std::memory_order_relaxed); }
 
  private:
   Tier2Engine();
 
-  std::shared_ptr<const interp_detail::Tier2Program> lowered_get(
-      const KernelIR& ir, const interp_detail::DecodedProgram& prog, unsigned shift);
-
   std::atomic<Mode> mode_{Mode::kAuto};
   std::atomic<bool> verify_{false};
 
   std::atomic<std::uint64_t> launches_tier2_{0};
-  std::atomic<std::uint64_t> launches_warming_{0};
   std::atomic<std::uint64_t> launches_tier1_{0};
   std::atomic<std::uint64_t> compiles_{0};
   std::atomic<std::uint64_t> fused_superinsts_{0};
   std::atomic<std::uint64_t> verify_launches_{0};
-  std::atomic<std::uint64_t> evictions_{0};
-  std::atomic<std::uint64_t> lowered_entries_{0};
 
   std::atomic<std::uint64_t> min_static_heat_{kDefaultMinStaticHeat};
-  std::atomic<std::uint32_t> warmup_launches_{kDefaultWarmupLaunches};
-
-  mutable std::mutex mutex_;  // guards ordinals_, lowered_, fifo_, capacity
-  std::unordered_map<std::uint64_t, std::uint32_t> ordinals_;
-  std::unordered_map<std::uint64_t, std::shared_ptr<const interp_detail::Tier2Program>>
-      lowered_;
-  std::vector<std::uint64_t> fifo_;  // lowered-cache keys in insertion order
-  std::size_t fifo_head_ = 0;
-  std::size_t max_entries_ = kDefaultMaxEntries;
-  std::size_t max_bytes_ = kDefaultMaxBytes;
-  std::size_t cur_bytes_ = 0;
 };
 
 namespace interp_detail {

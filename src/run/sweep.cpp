@@ -1,8 +1,10 @@
 #include "run/sweep.hpp"
 
 #include <algorithm>
+#include <charconv>
 #include <chrono>
 #include <cstdlib>
+#include <cstring>
 #include <memory>
 #include <mutex>
 
@@ -85,6 +87,18 @@ struct CheckpointState {
     if (store != nullptr) store->publish(snapshot::encode_sweep_checkpoint(cp));
   }
 };
+
+/// Parses all of `text` as a T; throws ContractError naming `what` when any
+/// of it is not part of the number (`--workers abc`, `--shards 2x`, "").
+template <typename T>
+T parse_number(const char* text, const char* what) {
+  const char* const end = text + std::strlen(text);
+  T value{};
+  const auto [ptr, ec] = std::from_chars(text, end, value);
+  SIGVP_REQUIRE(ec == std::errc() && ptr == end,
+                std::string(what) + ": malformed number '" + text + "'");
+  return value;
+}
 
 }  // namespace
 
@@ -256,16 +270,16 @@ SweepCli parse_sweep_cli(int argc, char** argv, const std::string& default_json)
   }
   if (const char* every = std::getenv("SIGVP_SNAPSHOT_EVERY");
       every != nullptr && *every != '\0') {
-    const double us = std::strtod(every, nullptr);
+    const double us = parse_number<double>(every, "SIGVP_SNAPSHOT_EVERY");
     if (us > 0.0) cli.snapshot_every_us = us;
   }
   if (const char* shards = std::getenv("SIGVP_SHARDS"); shards != nullptr && *shards != '\0') {
-    cli.shards = static_cast<std::size_t>(std::strtoul(shards, nullptr, 10));
+    cli.shards = parse_number<std::size_t>(shards, "SIGVP_SHARDS");
   }
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg == "--workers" && i + 1 < argc) {
-      cli.workers = static_cast<std::size_t>(std::strtoul(argv[++i], nullptr, 10));
+      cli.workers = parse_number<std::size_t>(argv[++i], "--workers");
     } else if (arg == "--json" && i + 1 < argc) {
       cli.json_path = argv[++i];
     } else if (arg == "--trace" && i + 1 < argc) {
@@ -273,12 +287,12 @@ SweepCli parse_sweep_cli(int argc, char** argv, const std::string& default_json)
     } else if (arg == "--snapshot-dir" && i + 1 < argc) {
       cli.snapshot_dir = argv[++i];
     } else if (arg == "--snapshot-every" && i + 1 < argc) {
-      const double us = std::strtod(argv[++i], nullptr);
+      const double us = parse_number<double>(argv[++i], "--snapshot-every");
       if (us > 0.0) cli.snapshot_every_us = us;
     } else if (arg == "--resume" && i + 1 < argc) {
       cli.resume_path = argv[++i];
     } else if (arg == "--shards" && i + 1 < argc) {
-      cli.shards = static_cast<std::size_t>(std::strtoul(argv[++i], nullptr, 10));
+      cli.shards = parse_number<std::size_t>(argv[++i], "--shards");
     }
   }
   if (!cli.trace_path.empty()) trace::Tracer::enable(cli.trace_path);

@@ -139,6 +139,10 @@ class SweepRunner {
 /// synchronization horizons (run::set_fleet_shards). Execution-only: any
 /// value produces byte-identical BENCH JSON; 1 (the default) advances
 /// domains serially.
+///
+/// A malformed number in any of these flags or variables (`--workers abc`,
+/// `SIGVP_SHARDS=2x`) throws ContractError. Unknown flags are left alone:
+/// some benches read their own flags from the same argv.
 struct SweepCli {
   std::size_t workers = 0;
   std::size_t shards = 1;

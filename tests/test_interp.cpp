@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <functional>
+#include <ostream>
 
 #include "interp/interpreter.hpp"
 #include "ir/builder.hpp"
@@ -31,6 +32,12 @@ struct F64Case {
   void (KernelBuilder::*emit)(std::uint8_t, std::uint8_t, std::uint8_t);
   double a, b, expected;
 };
+
+// gtest's default printer dumps the raw bytes of a case, pointers included,
+// and those bytes end up in the discovered test names; print the operands.
+void PrintTo(const F64Case& c, std::ostream* os) {
+  *os << c.name << '(' << c.a << ", " << c.b << ')';
+}
 
 class F64BinaryTest : public ::testing::TestWithParam<F64Case> {};
 
@@ -69,6 +76,10 @@ struct IntCase {
   void (KernelBuilder::*emit)(std::uint8_t, std::uint8_t, std::uint8_t);
   std::int64_t a, b, expected;
 };
+
+void PrintTo(const IntCase& c, std::ostream* os) {
+  *os << c.name << '(' << c.a << ", " << c.b << ')';
+}
 
 class IntBinaryTest : public ::testing::TestWithParam<IntCase> {};
 
@@ -118,6 +129,8 @@ struct UnaryF32Case {
   void (KernelBuilder::*emit)(std::uint8_t, std::uint8_t);
   float a, expected;
 };
+
+void PrintTo(const UnaryF32Case& c, std::ostream* os) { *os << c.name << '(' << c.a << ')'; }
 
 class F32UnaryTest : public ::testing::TestWithParam<UnaryF32Case> {};
 

@@ -2,8 +2,8 @@
 // workload in the suite, the memory image must be byte-exact and the
 // DynamicProfile bit-identical for every worker count (the determinism
 // contract in DESIGN.md §10). Also covers the atomic serial fallback, the
-// strict-barrier diagnostic, shard hooks, nested-parallelism budgeting, and
-// decode-cache invalidation.
+// strict-barrier diagnostic, per-chunk access hooks, nested-parallelism
+// budgeting, and decode-cache invalidation.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -11,6 +11,7 @@
 #include <mutex>
 #include <set>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "interp/decoded.hpp"
@@ -238,7 +239,7 @@ KernelIR make_store_kernel(const char* name) {
   return b.build();
 }
 
-TEST(InterpParallel, LegacyMemHookSeesDeterministicSerialOrder) {
+TEST(InterpParallel, AccessHookChunkStreamsAreIdenticalAcrossWorkerCounts) {
   const KernelIR ir = make_store_kernel("hook");
   KernelArgs args;
   args.push_ptr(0);
@@ -250,32 +251,26 @@ TEST(InterpParallel, LegacyMemHookSeesDeterministicSerialOrder) {
   using Access = std::tuple<std::uint64_t, std::uint32_t, bool>;
   auto trace = [&](std::size_t workers) {
     AddressSpace mem(1 << 16, "m");
-    std::vector<Access> log;
+    std::vector<std::vector<Access>> per_chunk(Interpreter::canonical_chunks(dims));
     Interpreter::Options opts;
     opts.workers = workers;
-    opts.mem_hook = [&log](std::uint64_t addr, std::uint32_t bytes, bool is_store) {
-      log.emplace_back(addr, bytes, is_store);
+    opts.access_hook = [&per_chunk](std::size_t chunk) -> MemAccessHook {
+      std::vector<Access>* log = &per_chunk[chunk];
+      return [log](std::uint64_t addr, std::uint32_t bytes, bool is_store) {
+        log->emplace_back(addr, bytes, is_store);
+      };
     };
     Interpreter().run(ir, dims, args, mem, opts);
-    return log;
+    return per_chunk;
   };
 
   const auto serial = trace(1);
-  EXPECT_EQ(serial.size(), 1000u);
-  // Requesting 8 workers with a legacy hook must not change the access order.
+  std::size_t total = 0;
+  for (const auto& chunk : serial) total += chunk.size();
+  EXPECT_EQ(total, 1000u);
+  // Eight concurrent workers must hand every chunk's hook the same stream,
+  // in the same intra-chunk order, as the serial run.
   EXPECT_TRUE(trace(8) == serial);
-}
-
-TEST(InterpParallel, MemHookAndShardHookAreMutuallyExclusive) {
-  const KernelIR ir = make_store_kernel("both");
-  KernelArgs args;
-  args.push_ptr(0);
-  args.push_i64(8);
-  AddressSpace mem(1 << 16, "m");
-  Interpreter::Options opts;
-  opts.mem_hook = [](std::uint64_t, std::uint32_t, bool) {};
-  opts.shard_hook = [](std::size_t) { return MemAccessHook{}; };
-  EXPECT_THROW(Interpreter().run(ir, LaunchDims{}, args, mem, opts), ContractError);
 }
 
 TEST(InterpParallel, ShardHookCoversEveryChunkAndAllTraffic) {
@@ -294,7 +289,7 @@ TEST(InterpParallel, ShardHookCoversEveryChunkAndAllTraffic) {
   std::atomic<std::uint64_t> bytes{0};
   Interpreter::Options opts;
   opts.workers = 8;
-  opts.shard_hook = [&](std::size_t chunk) -> MemAccessHook {
+  opts.access_hook = [&](std::size_t chunk) -> MemAccessHook {
     {
       std::lock_guard<std::mutex> lock(mu);
       seen_chunks.insert(chunk);

@@ -6,9 +6,11 @@
 
 #include <atomic>
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
+#include <utility>
 #include <vector>
 
 #include "core/scenario.hpp"
@@ -239,6 +241,28 @@ TEST(SweepCli, ParsesWorkersAndJsonOverrides) {
   cli = run::parse_sweep_cli(5, const_cast<char**>(argv_full), "BENCH_default.json");
   EXPECT_EQ(cli.workers, 7u);
   EXPECT_EQ(cli.json_path, "out.json");
+
+  // Malformed numbers fail loudly instead of becoming 0 or the default.
+  for (const auto& [flag, value] : {std::pair{"--workers", "abc"},
+                                    {"--workers", ""},
+                                    {"--workers", "-1"},
+                                    {"--shards", "2x"},
+                                    {"--snapshot-every", "foo"},
+                                    {"--snapshot-every", "5ms"}}) {
+    const char* argv_bad[] = {"bench", flag, value};
+    EXPECT_THROW(run::parse_sweep_cli(3, const_cast<char**>(argv_bad), "BENCH_default.json"),
+                 ContractError)
+        << flag << " " << value;
+  }
+  ::setenv("SIGVP_SHARDS", "x", 1);
+  EXPECT_THROW(run::parse_sweep_cli(1, const_cast<char**>(argv_defaults), "BENCH_default.json"),
+               ContractError);
+  ::unsetenv("SIGVP_SHARDS");
+
+  // Unknown flags stay accepted: benches share argv with their own flags.
+  const char* argv_unknown[] = {"bench", "--reps", "3", "--workers", "2"};
+  cli = run::parse_sweep_cli(5, const_cast<char**>(argv_unknown), "BENCH_default.json");
+  EXPECT_EQ(cli.workers, 2u);
 }
 
 TEST(JsonWriter, EmitsDocumentedSchema) {

@@ -2,9 +2,10 @@
 // for every workload in the suite the Tier-2 memory image and DynamicProfile
 // must be byte-exact vs the Tier-1 interpreter at every worker count; the
 // promotion decision must be a pure function of the sim-domain launch stream
-// (identical across worker counts and across resume-from-checkpoint); cold,
-// atomic, hooked and strict-barrier launches must route back to Tier 1; an
-// in-place kernel rebuild must re-lower through the fingerprint; and the
+// (identical across worker counts and across resume-from-checkpoint); the
+// access hook must see the same per-chunk streams on both tiers; cold,
+// atomic and strict-barrier launches must route back to Tier 1; an in-place
+// kernel rebuild must re-lower through the fingerprint; and the
 // SIGVP_TIER_VERIFY oracle must pass cleanly on the whole suite.
 #include <gtest/gtest.h>
 #include <unistd.h>
@@ -12,6 +13,7 @@
 #include <cstring>
 #include <filesystem>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "core/scenario.hpp"
@@ -50,8 +52,7 @@ struct EngineSandbox {
     Tier2Engine& e = Tier2Engine::instance();
     e.set_mode(mode);
     e.set_verify(verify);
-    e.set_promotion(Tier2Engine::kDefaultMinStaticHeat, Tier2Engine::kDefaultWarmupLaunches);
-    e.set_capacity(Tier2Engine::kDefaultMaxEntries, Tier2Engine::kDefaultMaxBytes);
+    e.set_promotion(Tier2Engine::kDefaultMinStaticHeat);
     e.reset();
   }
 };
@@ -194,30 +195,72 @@ TEST(Tier2Differential, BudgetExhaustionThrowsAtTheSamePointWithTheSameSideEffec
   }
 }
 
+// --- access-hook differential -------------------------------------------------
+
+TEST(Tier2Differential, AccessHookSeesByteIdenticalChunkStreamsOnBothTiers) {
+  // The access hook is how the L2 model and the launch cache observe a
+  // launch, so the tier choice must be invisible to it too: forced Tier 2
+  // and forced Tier 1 hand every chunk's hook the identical access stream.
+  EngineSandbox sandbox;
+  Tier2Engine& eng = Tier2Engine::instance();
+  using Access = std::tuple<std::uint64_t, std::uint32_t, bool>;
+  const auto streams = [](const Workload& w, Tier2Engine::Mode mode) {
+    std::vector<std::vector<Access>> per_chunk(Interpreter::canonical_chunks(w.dims(w.test_n)));
+    Interpreter::Options opts;
+    opts.access_hook = [&per_chunk](std::size_t chunk) -> MemAccessHook {
+      std::vector<Access>* log = &per_chunk[chunk];
+      return [log](std::uint64_t addr, std::uint32_t bytes, bool is_store) {
+        log->emplace_back(addr, bytes, is_store);
+      };
+    };
+    run_workload(w, 4, mode, opts);
+    return per_chunk;
+  };
+
+  for (const Workload& w : workloads::make_suite()) {
+    const auto t1 = streams(w, Tier2Engine::Mode::kForceTier1);
+    const Tier2Stats before = eng.stats();
+    const auto t2 = streams(w, Tier2Engine::Mode::kForceTier2);
+    // Only global atomics keep a forced launch on Tier 1.
+    EXPECT_EQ((eng.stats() - before).launches_tier2,
+              Interpreter::uses_global_atomics(w.kernel) ? 0u : 1u)
+        << w.app;
+    ASSERT_EQ(t1.size(), t2.size()) << w.app;
+    for (std::size_t c = 0; c < t1.size(); ++c) {
+      EXPECT_TRUE(t1[c] == t2[c]) << w.app << ": chunk " << c << " stream diverged";
+    }
+  }
+}
+
 // --- promotion policy ---------------------------------------------------------
 
-TEST(Tier2Promotion, WarmupOrdinalGatesTheFirstLaunchesPerKey) {
+TEST(Tier2Promotion, FirstHotLaunchPromotesAndLaterLaunchesReuseTheLowering) {
   EngineSandbox sandbox;
   Tier2Engine& eng = Tier2Engine::instance();
   eng.set_mode(Tier2Engine::Mode::kAuto);
-  eng.set_promotion(/*min_static_heat=*/1, /*warmup_launches=*/2);
+  eng.set_promotion(/*min_static_heat=*/1);
   const auto suite = workloads::make_suite();
   const Workload& w = workloads::find(suite, "vectorAdd");
 
   const Tier2Stats before = eng.stats();
-  for (int i = 0; i < 3; ++i) run_workload(w, 1, Tier2Engine::Mode::kAuto);
-  const Tier2Stats d = eng.stats() - before;
-  EXPECT_EQ(d.launches_warming, 2u);  // launches 1 and 2 warm the key
-  EXPECT_EQ(d.launches_tier2, 1u);    // launch 3 promotes
-  EXPECT_EQ(d.compiles, 1u);          // lowered exactly once
+  run_workload(w, 1, Tier2Engine::Mode::kAuto);
+  Tier2Stats d = eng.stats() - before;
+  EXPECT_EQ(d.launches_tier2, 1u);  // the first hot launch already promotes
+  EXPECT_EQ(d.compiles, 1u);
   EXPECT_EQ(d.launches_tier1, 0u);
+
+  for (int i = 0; i < 2; ++i) run_workload(w, 1, Tier2Engine::Mode::kAuto);
+  d = eng.stats() - before;
+  EXPECT_EQ(d.launches_tier2, 3u);
+  EXPECT_EQ(d.compiles, 1u);  // later launches reuse the cached lowering
+  EXPECT_EQ(d.launches_warming, 0u);
 }
 
 TEST(Tier2Promotion, ColdKernelsStayOnTier1WithoutCompiling) {
   EngineSandbox sandbox;
   Tier2Engine& eng = Tier2Engine::instance();
   eng.set_mode(Tier2Engine::Mode::kAuto);
-  eng.set_promotion(/*min_static_heat=*/~0ull, /*warmup_launches=*/0);
+  eng.set_promotion(/*min_static_heat=*/~0ull);
   const auto suite = workloads::make_suite();
   const Workload& w = workloads::find(suite, "vectorAdd");
 
@@ -251,9 +294,7 @@ TEST(Tier2Promotion, DecisionStreamIsIdenticalAcrossWorkerCounts) {
     deltas.push_back(eng.stats() - before);
   }
   EXPECT_EQ(deltas[0], deltas[1]);
-  EXPECT_EQ(deltas[0].launches_tier2 + deltas[0].launches_warming +
-                deltas[0].launches_tier1,
-            2u * seq.size());
+  EXPECT_EQ(deltas[0].launches_tier2 + deltas[0].launches_tier1, 2u * seq.size());
 }
 
 // --- fallback routing ---------------------------------------------------------
@@ -270,23 +311,6 @@ TEST(Tier2Fallback, GlobalAtomicsRouteToTier1EvenWhenForced) {
   EXPECT_EQ(d.launches_tier1, 1u);
   EXPECT_EQ(d.launches_tier2, 0u);
   EXPECT_EQ(d.compiles, 0u);
-}
-
-TEST(Tier2Fallback, LegacyMemHookRoutesToTier1) {
-  EngineSandbox sandbox;
-  Tier2Engine& eng = Tier2Engine::instance();
-  const auto suite = workloads::make_suite();
-  const Workload& w = workloads::find(suite, "vectorAdd");
-
-  std::uint64_t accesses = 0;
-  Interpreter::Options opts;
-  opts.mem_hook = [&accesses](std::uint64_t, std::uint32_t, bool) { ++accesses; };
-  const Tier2Stats before = eng.stats();
-  run_workload(w, 1, Tier2Engine::Mode::kForceTier2, opts);
-  const Tier2Stats d = eng.stats() - before;
-  EXPECT_EQ(d.launches_tier1, 1u);
-  EXPECT_EQ(d.launches_tier2, 0u);
-  EXPECT_GT(accesses, 0u);  // the hook really observed the Tier-1 run
 }
 
 TEST(Tier2Fallback, StrictBarrierDiagnosticsRouteToTier1) {
@@ -321,7 +345,7 @@ TEST(Tier2Promotion, InPlaceKernelRebuildRelowersThroughTheFingerprint) {
   EngineSandbox sandbox;
   Tier2Engine& eng = Tier2Engine::instance();
   eng.set_mode(Tier2Engine::Mode::kAuto);
-  eng.set_promotion(/*min_static_heat=*/0, /*warmup_launches=*/0);  // promote instantly
+  eng.set_promotion(/*min_static_heat=*/0);  // promote every launch
 
   KernelIR ir = make_store_const_kernel(111);
   AddressSpace mem(1 << 16, "m");
@@ -389,12 +413,12 @@ TEST(Tier2Verify, DivergenceCheckerAcceptsIdenticalAndRejectsPerturbed) {
   EXPECT_THROW(check_tier_divergence(w.kernel, r.profile, r.profile, a, b), ContractError);
 }
 
-// --- bounded DecodedCache (Tier-1 decode cache) -------------------------------
+// --- bounded DecodedCache (the kernel cache) -------------------------------
 
 TEST(DecodedCacheBound, FifoEvictionKeepsTheCacheWithinItsCaps) {
   using interp_detail::DecodedCache;
+  EngineSandbox sandbox;  // starts from an empty kernel cache
   DecodedCache& cache = DecodedCache::instance();
-  cache.clear();
   cache.set_capacity(/*max_entries=*/2, DecodedCache::kDefaultMaxBytes);
 
   const KernelIR k1 = make_store_const_kernel(1);
@@ -418,6 +442,26 @@ TEST(DecodedCacheBound, FifoEvictionKeepsTheCacheWithinItsCaps) {
   EXPECT_EQ(cache.evictions(), evictions0 + 2);
   EXPECT_EQ(p1->fingerprint, p1b->fingerprint);
 
+  // An entry holds both program forms: evicting it drops the lowering too,
+  // and the kernel's next launch re-decodes and re-lowers it.
+  Tier2Engine& eng = Tier2Engine::instance();
+  eng.set_mode(Tier2Engine::Mode::kForceTier2);
+  AddressSpace mem(1 << 16, "m");
+  KernelArgs args;
+  args.push_ptr(64);
+  const auto launch = [&](const KernelIR& k) { Interpreter().run(k, LaunchDims{}, args, mem); };
+  const Tier2Stats before = eng.stats();
+  launch(k1);  // resident (FIFO: k3, k1): lowered into its entry
+  launch(k1);  // reuses that lowering
+  EXPECT_EQ((eng.stats() - before).compiles, 1u);
+  launch(k2);  // evicts k3
+  launch(k3);  // evicts k1, lowered form included
+  launch(k1);
+  EXPECT_EQ(mem.read<std::int64_t>(64), 1);
+  EXPECT_EQ(cache.evictions(), evictions0 + 5);
+  EXPECT_EQ((eng.stats() - before).compiles, 4u);
+  EXPECT_EQ((eng.stats() - before).launches_tier2, 5u);
+
   // Byte cap alone also evicts: a cap smaller than any program empties the
   // FIFO on every insert while the caller's shared_ptr stays valid.
   cache.set_capacity(DecodedCache::kDefaultMaxEntries, /*max_bytes=*/1);
@@ -426,7 +470,6 @@ TEST(DecodedCacheBound, FifoEvictionKeepsTheCacheWithinItsCaps) {
   EXPECT_EQ(cache.size(), 0u);
 
   cache.set_capacity(DecodedCache::kDefaultMaxEntries, DecodedCache::kDefaultMaxBytes);
-  cache.clear();
 }
 
 // --- promotion across resume-from-checkpoint ----------------------------------
@@ -473,10 +516,10 @@ run::SweepJob functional_job(const Workload& w, const char* name, std::size_t vp
 }
 
 TEST(Tier2Promotion, ResumedSweepIsBitIdenticalDespiteColdTierState) {
-  // A resumed process starts with an empty lowered cache and zeroed warmup
-  // ordinals, so the re-run jobs make *different* tier decisions than the
-  // uninterrupted run did at the same point in the stream. The results must
-  // not care: tier choice is invisible in the sim domain.
+  // A resumed process starts with a cold kernel cache, so the re-run jobs
+  // decode and lower again where the uninterrupted run reused its cached
+  // forms. The results must not care: tier state is invisible in the sim
+  // domain.
   EngineSandbox sandbox;
   Tier2Engine& eng = Tier2Engine::instance();
   eng.set_mode(Tier2Engine::Mode::kAuto);
@@ -507,7 +550,7 @@ TEST(Tier2Promotion, ResumedSweepIsBitIdenticalDespiteColdTierState) {
   cp.jobs[1] = snapshot::JobCheckpoint{};
   snapshot::CheckpointStore(tmp.str()).publish(snapshot::encode_sweep_checkpoint(cp));
 
-  eng.reset();  // the process restart loses all warm tier state
+  eng.reset();  // the process restart loses the warm kernel cache
   run::SweepResumeInfo ri;
   const run::SweepResult resumed = run::SweepRunner(2).run(jobs, snap, &ri);
   EXPECT_EQ(ri.jobs_resumed, 1u);

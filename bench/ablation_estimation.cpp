@@ -45,34 +45,30 @@ int main(int argc, char** argv) {
 
   const auto suite = workloads::make_suite();
   std::vector<Row> rows(suite.size());
-  {
-    run::ThreadPool pool(cli.workers == 0 ? run::ThreadPool::default_workers()
-                                          : cli.workers);
-    run::parallel_for(pool, suite.size(), [&](std::size_t idx) {
-      const workloads::Workload& w = suite[idx];
-      const std::uint64_t n = w.estimate_n ? w.estimate_n : w.test_n;
-      const LaunchEvaluation on_host = evaluate_workload_on(w, n, host);
-      const LaunchEvaluation on_target = evaluate_workload_on(w, n, target);
+  run::parallel_for(suite.size(), cli.workers, [&](std::size_t idx) {
+    const workloads::Workload& w = suite[idx];
+    const std::uint64_t n = w.estimate_n ? w.estimate_n : w.test_n;
+    const LaunchEvaluation on_host = evaluate_workload_on(w, n, host);
+    const LaunchEvaluation on_target = evaluate_workload_on(w, n, target);
 
-      ProfileBasedEstimator est(host, target);
-      EstimationInput in;
-      in.kernel = &w.kernel;
-      in.dims = w.dims(n);
-      in.lambda = on_host.profile.block_visits;
-      in.host_stats = on_host.stats;
-      in.behavior = w.behavior(n);
-      const TimingEstimates ts = est.estimate_time(in);
-      const double p_est = est.estimate_power_w(in, ts);
+    ProfileBasedEstimator est(host, target);
+    EstimationInput in;
+    in.kernel = &w.kernel;
+    in.dims = w.dims(n);
+    in.lambda = on_host.profile.block_visits;
+    in.host_stats = on_host.stats;
+    in.behavior = w.behavior(n);
+    const TimingEstimates ts = est.estimate_time(in);
+    const double p_est = est.estimate_power_w(in, ts);
 
-      const double obs = on_target.stats.total_cycles;
-      const double kernel_us = on_target.stats.duration_us - target.launch_overhead_us;
-      const double p_obs =
-          target.static_power_w + on_target.stats.dynamic_energy_j / s_from_us(kernel_us);
+    const double obs = on_target.stats.total_cycles;
+    const double kernel_us = on_target.stats.duration_us - target.launch_overhead_us;
+    const double p_obs =
+        target.static_power_w + on_target.stats.dynamic_energy_j / s_from_us(kernel_us);
 
-      rows[idx] = Row{ts.c_cycles / obs, ts.c1_cycles / obs, ts.c2_cycles / obs,
-                      p_est / p_obs};
-    });
-  }
+    rows[idx] = Row{ts.c_cycles / obs, ts.c1_cycles / obs, ts.c2_cycles / obs,
+                    p_est / p_obs};
+  });
 
   TablePrinter t({"Kernel", "C/obs", "C'/obs", "C''/obs", "P_est/P_obs"});
   RunningStats err_c, err_c2, err_p;

@@ -7,7 +7,7 @@
 // Each (host arch, app) cell is an independent functional evaluation with
 // its own address space, so the 8 cells are sharded across host cores with
 // parallel_for; rows land in indexed slots and the printed tables are
-// byte-identical for any worker count. Use --workers N to bound the pool.
+// byte-identical for any worker count. --workers N is the parallel_for width.
 
 #include <iostream>
 #include <vector>
@@ -48,37 +48,33 @@ int main(int argc, char** argv) {
 
   // One cell per (host, app) pair, filled in parallel.
   std::vector<Cell> cells(hosts.size() * apps.size());
-  {
-    run::ThreadPool pool(cli.workers == 0 ? run::ThreadPool::default_workers()
-                                          : cli.workers);
-    run::parallel_for(pool, cells.size(), [&](std::size_t idx) {
-      const GpuArch& host = hosts[idx / apps.size()];
-      const workloads::Workload& w = workloads::find(suite, apps[idx % apps.size()]);
-      const std::uint64_t n = w.estimate_n ? w.estimate_n : w.test_n;
+  run::parallel_for(cells.size(), cli.workers, [&](std::size_t idx) {
+    const GpuArch& host = hosts[idx / apps.size()];
+    const workloads::Workload& w = workloads::find(suite, apps[idx % apps.size()]);
+    const std::uint64_t n = w.estimate_n ? w.estimate_n : w.test_n;
 
-      const LaunchEvaluation on_host = evaluate_workload_on(w, n, host);
-      const LaunchEvaluation on_target = evaluate_workload_on(w, n, target);
+    const LaunchEvaluation on_host = evaluate_workload_on(w, n, host);
+    const LaunchEvaluation on_target = evaluate_workload_on(w, n, target);
 
-      ProfileBasedEstimator est(host, target);
-      EstimationInput in;
-      in.kernel = &w.kernel;
-      in.dims = w.dims(n);
-      in.lambda = on_host.profile.block_visits;
-      in.host_stats = on_host.stats;
-      in.behavior = w.behavior(n);
-      const TimingEstimates ts = est.estimate_time(in);
+    ProfileBasedEstimator est(host, target);
+    EstimationInput in;
+    in.kernel = &w.kernel;
+    in.dims = w.dims(n);
+    in.lambda = on_host.profile.block_visits;
+    in.host_stats = on_host.stats;
+    in.behavior = w.behavior(n);
+    const TimingEstimates ts = est.estimate_time(in);
 
-      // Normalize by the observed target execution time (paper's y-axis).
-      Cell& cell = cells[idx];
-      cell.t_obs_us = us_from_cycles(on_target.stats.total_cycles, target.clock_ghz);
-      cell.h_norm =
-          us_from_cycles(on_host.stats.total_cycles, host.clock_ghz) / cell.t_obs_us;
-      cell.c_norm = ts.et_c_us / cell.t_obs_us;
-      cell.c1_norm = ts.et_c1_us / cell.t_obs_us;
-      cell.c2_norm = ts.et_c2_us / cell.t_obs_us;
-      cell.et_c2_us = ts.et_c2_us;
-    });
-  }
+    // Normalize by the observed target execution time (paper's y-axis).
+    Cell& cell = cells[idx];
+    cell.t_obs_us = us_from_cycles(on_target.stats.total_cycles, target.clock_ghz);
+    cell.h_norm =
+        us_from_cycles(on_host.stats.total_cycles, host.clock_ghz) / cell.t_obs_us;
+    cell.c_norm = ts.et_c_us / cell.t_obs_us;
+    cell.c1_norm = ts.et_c1_us / cell.t_obs_us;
+    cell.c2_norm = ts.et_c2_us / cell.t_obs_us;
+    cell.et_c2_us = ts.et_c2_us;
+  });
 
   for (std::size_t h = 0; h < hosts.size(); ++h) {
     const GpuArch& host = hosts[h];

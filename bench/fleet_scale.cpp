@@ -22,7 +22,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
-#include <cstdlib>
 #include <iostream>
 #include <sstream>
 #include <string>
@@ -118,18 +117,19 @@ int main(int argc, char** argv) {
   using namespace sigvp;
 
   std::size_t max_vps = kLadder[sizeof(kLadder) / sizeof(kLadder[0]) - 1];
-  std::size_t scale_shards = std::min<std::size_t>(8, run::ThreadPool::default_workers());
+  std::size_t scale_shards = std::min<std::size_t>(8, run::default_workers());
   std::size_t reps = 1;
   std::string json_path = "BENCH_fleet_scale.json";
   bool speedup_gate = true;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg == "--max-vps" && i + 1 < argc) {
-      max_vps = std::strtoull(argv[++i], nullptr, 10);
+      max_vps = run::parse_number<std::uint64_t>(argv[++i], "--max-vps");
     } else if (arg == "--scale-shards" && i + 1 < argc) {
-      scale_shards = std::max<std::size_t>(1, std::strtoul(argv[++i], nullptr, 10));
+      scale_shards =
+          std::max<std::size_t>(1, run::parse_number<std::uint64_t>(argv[++i], "--scale-shards"));
     } else if (arg == "--reps" && i + 1 < argc) {
-      reps = std::max<std::size_t>(1, std::strtoul(argv[++i], nullptr, 10));
+      reps = std::max<std::size_t>(1, run::parse_number<std::uint64_t>(argv[++i], "--reps"));
     } else if (arg == "--json" && i + 1 < argc) {
       json_path = argv[++i];
     } else if (arg == "--no-speedup-gate") {
@@ -143,7 +143,7 @@ int main(int argc, char** argv) {
 
   std::cout << "== fleet_scale: sharded fleet simulation, 64 -> " << max_vps
             << " VPs ==\n   (" << scale_shards << " shard threads, "
-            << run::ThreadPool::default_workers() << " host cores)\n\n";
+            << run::default_workers() << " host cores)\n\n";
 
   // --- scale ladder -----------------------------------------------------------
   run::set_fleet_shards(scale_shards);
@@ -240,7 +240,7 @@ int main(int argc, char** argv) {
 
   // The >= 2x target needs real cores under the 8 shard threads; report
   // always, enforce only where the hardware can possibly deliver it.
-  if (speedup_gate && run::ThreadPool::default_workers() >= 8 && speedup < 2.0) {
+  if (speedup_gate && run::default_workers() >= 8 && speedup < 2.0) {
     std::cerr << "SHARD SPEEDUP REGRESSION: " << fmt_ratio(speedup)
               << "x at 8 shards on a >= 8-core host (target >= 2x)\n";
     failed = true;
@@ -270,7 +270,7 @@ int main(int argc, char** argv) {
      << ", \"wall_ms_1shard\": " << number(wall_1shard)
      << ", \"wall_ms_8shards\": " << number(wall_8shards)
      << ", \"shard_speedup\": " << number(speedup)
-     << ", \"host_cores\": " << run::ThreadPool::default_workers() << "}\n";
+     << ", \"host_cores\": " << run::default_workers() << "}\n";
   os << "}\n";
 
   if (!run::try_write_json_file(os.str(), json_path)) {

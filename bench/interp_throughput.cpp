@@ -16,7 +16,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
-#include <cstdlib>
 #include <iostream>
 #include <sstream>
 #include <string>
@@ -147,11 +146,11 @@ int main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg == "--workers" && i + 1 < argc) {
-      only_workers = static_cast<std::size_t>(std::strtoul(argv[++i], nullptr, 10));
+      only_workers = run::parse_number<std::uint64_t>(argv[++i], "--workers");
     } else if (arg == "--n" && i + 1 < argc) {
-      size_override = std::strtoull(argv[++i], nullptr, 10);
+      size_override = run::parse_number<std::uint64_t>(argv[++i], "--n");
     } else if (arg == "--reps" && i + 1 < argc) {
-      reps = std::max<std::size_t>(1, std::strtoul(argv[++i], nullptr, 10));
+      reps = std::max<std::size_t>(1, run::parse_number<std::uint64_t>(argv[++i], "--reps"));
     } else if (arg == "--json" && i + 1 < argc) {
       json_path = argv[++i];
     } else if (arg == "--trace" && i + 1 < argc) {

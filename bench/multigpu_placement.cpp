@@ -26,7 +26,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
-#include <cstdlib>
 #include <iostream>
 #include <sstream>
 #include <string>
@@ -123,7 +122,7 @@ int main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg == "--reps" && i + 1 < argc) {
-      reps = std::max<std::size_t>(1, std::strtoul(argv[++i], nullptr, 10));
+      reps = std::max<std::size_t>(1, run::parse_number<std::uint64_t>(argv[++i], "--reps"));
     } else if (arg == "--json" && i + 1 < argc) {
       json_path = argv[++i];
     }

@@ -329,7 +329,7 @@ int main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     if (std::string(argv[i]) == "--keep") keep = true;
     if (std::string(argv[i]) == "--seeds" && i + 1 < argc) {
-      seeds = std::strtoull(argv[++i], nullptr, 10);
+      seeds = run::parse_number<std::uint64_t>(argv[++i], "--seeds");
     }
   }
 

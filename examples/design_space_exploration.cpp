@@ -6,7 +6,7 @@
 //
 // The profiling run happens once, serially; the per-candidate estimations
 // are independent and fan out across host cores with parallel_for
-// (--workers N bounds the pool). Rows land in indexed slots, so the table
+// of width --workers N. Rows land in indexed slots, so the table
 // is identical for any worker count.
 
 #include <cstdio>
@@ -64,32 +64,28 @@ int main(int argc, char** argv) {
     double energy_mj = 0.0;
   };
   std::vector<Estimate> estimates(candidates.size());
-  {
-    run::ThreadPool pool(cli.workers == 0 ? run::ThreadPool::default_workers()
-                                          : cli.workers);
-    run::parallel_for(pool, candidates.size(), [&](std::size_t idx) {
-      const Candidate& cand = candidates[idx];
-      GpuArch target = make_tegrak1();
-      target.name = cand.name;
-      target.num_sms = cand.sms;
-      target.clock_ghz = cand.clock;
-      // Static power scales with area (SM count); dynamic energy per
-      // instruction is voltage/frequency dependent — first-order model.
-      target.static_power_w *= cand.sms;
+  run::parallel_for(candidates.size(), cli.workers, [&](std::size_t idx) {
+    const Candidate& cand = candidates[idx];
+    GpuArch target = make_tegrak1();
+    target.name = cand.name;
+    target.num_sms = cand.sms;
+    target.clock_ghz = cand.clock;
+    // Static power scales with area (SM count); dynamic energy per
+    // instruction is voltage/frequency dependent — first-order model.
+    target.static_power_w *= cand.sms;
 
-      ProfileBasedEstimator est(host, target);
-      EstimationInput in;
-      in.kernel = &w.kernel;
-      in.dims = w.dims(n);
-      in.lambda = profiled.profile.block_visits;
-      in.host_stats = profiled.stats;
-      in.behavior = w.behavior(n);
-      const TimingEstimates timing = est.estimate_time(in);
-      const double power = est.estimate_power_w(in, timing);
-      estimates[idx] = Estimate{ms_from_us(timing.et_c2_us), power,
-                                power * s_from_us(timing.et_c2_us) * 1e3};
-    });
-  }
+    ProfileBasedEstimator est(host, target);
+    EstimationInput in;
+    in.kernel = &w.kernel;
+    in.dims = w.dims(n);
+    in.lambda = profiled.profile.block_visits;
+    in.host_stats = profiled.stats;
+    in.behavior = w.behavior(n);
+    const TimingEstimates timing = est.estimate_time(in);
+    const double power = est.estimate_power_w(in, timing);
+    estimates[idx] = Estimate{ms_from_us(timing.et_c2_us), power,
+                              power * s_from_us(timing.et_c2_us) * 1e3};
+  });
 
   TablePrinter t({"Candidate", "SMs", "Clock (GHz)", "Est. time (ms)", "Est. power (W)",
                   "Energy (mJ)"});

@@ -34,7 +34,16 @@ std::uint64_t mix_seed(std::uint64_t seed, std::uint64_t domain) {
 }  // namespace
 
 FleetDomain::FleetDomain() = default;
-FleetDomain::~FleetDomain() = default;
+// Runs and streams keep themselves alive until they finish; a domain torn
+// down early (its scenario threw) releases them.
+FleetDomain::~FleetDomain() {
+  for (const std::shared_ptr<AppRun>& run : runs) {
+    if (run) run->abandon();
+  }
+  for (const std::shared_ptr<RequestStream>& stream : streams) {
+    if (stream) stream->abandon();
+  }
+}
 
 void FleetDomain::build(const ScenarioConfig& config, const std::vector<AppInstance>& apps,
                         std::size_t begin, std::size_t end, std::uint32_t domain_id,
@@ -376,21 +385,14 @@ ScenarioResult run_scenario_sharded(const ScenarioConfig& config,
   // Contiguous near-equal app slices: domain d owns [slice_at(d), slice_at(d+1)).
   auto slice_at = [&apps, D](std::uint32_t d) { return apps.size() * d / D; };
 
-  // Shard execution: up to `--shards` host threads from the shared fleet
-  // pool advance domains between barriers. Purely an execution knob — the
-  // serial path below visits domains in the same order the merge uses.
+  // Shard execution: domains advance between barriers on a parallel_for of
+  // width `--shards`. Purely an execution knob — each domain touches only
+  // its own state, and every merge below visits domains in index order.
   std::vector<std::unique_ptr<FleetDomain>> doms(D);
-  const std::size_t shard_threads = std::min<std::size_t>(run::fleet_shards(), D);
-  auto for_each_domain = [&](const std::function<void(std::size_t)>& fn) {
-    if (shard_threads > 1) {
-      run::parallel_for(run::fleet_pool(shard_threads), D, fn);
-    } else {
-      for (std::size_t d = 0; d < D; ++d) fn(d);
-    }
-  };
+  const std::size_t shard_width = std::min<std::size_t>(run::fleet_shards(), D);
 
   const std::string base_label = backend_name(config.backend);
-  for_each_domain([&](std::size_t d) {
+  run::parallel_for(D, shard_width, [&](std::size_t d) {
     const std::size_t begin = slice_at(static_cast<std::uint32_t>(d));
     const std::size_t end = slice_at(static_cast<std::uint32_t>(d + 1));
     auto dom = std::make_unique<FleetDomain>();
@@ -424,34 +426,35 @@ ScenarioResult run_scenario_sharded(const ScenarioConfig& config,
   // Per-domain capture chains on the shared cadence grid. A chain re-arms
   // while its domain has pending events or open fabric business, so the
   // folded fleet captures span the whole fleet lifetime; everything feeding
-  // the re-arm decision is sim-domain deterministic.
-  if (capture.every_us > 0.0) {
-    for (std::uint32_t d = 0; d < D; ++d) {
-      FleetDomain& dom = *doms[d];
-      const bool is_root = d == 0;
-      auto take = std::make_shared<std::function<void()>>();
-      *take = [&dom, take, every = capture.every_us, functional, is_root,
-               remote_reports_expected] {
-        FleetCapture fc;
-        fc.at_us = dom.queue.now();
-        fc.events_processed = dom.queue.events_processed();
-        snapshot::Writer w;
-        dom.capture_components(w, functional);
-        w.u64(dom.reports_sent);
-        w.u64(dom.acks_received);
-        w.u64(dom.reports_received);
-        w.f64(dom.fleet_done_us);
-        fc.digest = w.digest();
-        dom.captures.push_back(fc);
-        const bool fabric_open =
-            dom.reports_sent > dom.acks_received ||
-            (is_root && dom.reports_received < remote_reports_expected);
-        if (dom.queue.pending() > 0 || fabric_open) {
-          dom.queue.schedule_at(dom.queue.now() + every, *take);
-        }
-      };
-      dom.queue.schedule_at(capture.every_us, *take);
-    }
+  // the re-arm decision is sim-domain deterministic. Each chain re-arms
+  // from its closure in `chains` by reference, so no closure owns a copy of
+  // itself; `chains` outlives the horizon loop.
+  std::vector<std::function<void()>> chains(capture.every_us > 0.0 ? D : 0);
+  for (std::uint32_t d = 0; d < chains.size(); ++d) {
+    FleetDomain& dom = *doms[d];
+    const bool is_root = d == 0;
+    std::function<void()>& take = chains[d];
+    take = [&dom, &take, every = capture.every_us, functional, is_root,
+            remote_reports_expected] {
+      FleetCapture fc;
+      fc.at_us = dom.queue.now();
+      fc.events_processed = dom.queue.events_processed();
+      snapshot::Writer w;
+      dom.capture_components(w, functional);
+      w.u64(dom.reports_sent);
+      w.u64(dom.acks_received);
+      w.u64(dom.reports_received);
+      w.f64(dom.fleet_done_us);
+      fc.digest = w.digest();
+      dom.captures.push_back(fc);
+      const bool fabric_open =
+          dom.reports_sent > dom.acks_received ||
+          (is_root && dom.reports_received < remote_reports_expected);
+      if (dom.queue.pending() > 0 || fabric_open) {
+        dom.queue.schedule_at(dom.queue.now() + every, take);
+      }
+    };
+    dom.queue.schedule_at(capture.every_us, take);
   }
 
   ScenarioResult result;
@@ -562,7 +565,8 @@ ScenarioResult run_scenario_sharded(const ScenarioConfig& config,
     const SimTime horizon = earliest + lookahead;
     ++result.fleet.sync_rounds;
 
-    for_each_domain([&doms, horizon](std::size_t d) { doms[d]->queue.run_until(horizon); });
+    run::parallel_for(D, shard_width,
+                      [&doms, horizon](std::size_t d) { doms[d]->queue.run_until(horizon); });
 
     msgs.clear();
     for (const auto& dom : doms) {

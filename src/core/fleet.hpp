@@ -46,7 +46,7 @@ class Writer;
 /// is touched by exactly one host thread.
 struct FleetDomain {
   FleetDomain();
-  ~FleetDomain();  // out-of-line: members hold forward-declared types
+  ~FleetDomain();  // releases unfinished runs and streams (see fleet.cpp)
   FleetDomain(const FleetDomain&) = delete;
   FleetDomain& operator=(const FleetDomain&) = delete;
 

@@ -83,9 +83,9 @@ ScenarioResult run_scenario(const ScenarioConfig& config, const std::vector<AppI
   // fleet is done. With capture disabled none of this enters the queue,
   // keeping the plain overload byte-identical.
   std::size_t verify_idx = 0;
+  std::function<void()> take;  // re-arms from itself by reference, so it owns no copy of itself
   if (capture.every_us > 0.0) {
-    auto take = std::make_shared<std::function<void()>>();
-    *take = [&, take] {
+    take = [&] {
       FleetCapture fc;
       fc.at_us = dom.queue.now();
       fc.events_processed = dom.queue.events_processed();
@@ -107,10 +107,10 @@ ScenarioResult run_scenario(const ScenarioConfig& config, const std::vector<AppI
       if (out_captures != nullptr) out_captures->push_back(fc);
       if (capture.on_capture) capture.on_capture(fc);
       if (dom.queue.pending() > 0) {
-        dom.queue.schedule_at(dom.queue.now() + capture.every_us, *take);
+        dom.queue.schedule_at(dom.queue.now() + capture.every_us, take);
       }
     };
-    dom.queue.schedule_at(capture.every_us, *take);
+    dom.queue.schedule_at(capture.every_us, take);
   }
 
   dom.queue.run();

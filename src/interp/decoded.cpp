@@ -96,9 +96,11 @@ SIGVP_OP(op_ld_param) {
 }
 
 // --- integer -----------------------------------------------------------------
-SIGVP_SIMPLE_OP(op_add_i, r[d.dst].set_i(r[d.src0].i() + r[d.src1].i()))
-SIGVP_SIMPLE_OP(op_sub_i, r[d.dst].set_i(r[d.src0].i() - r[d.src1].i()))
-SIGVP_SIMPLE_OP(op_mul_i, r[d.dst].set_i(r[d.src0].i() * r[d.src1].i()))
+// Integer add/sub/mul/neg work on the raw bits: unsigned arithmetic wraps
+// the way two's-complement hardware does, where signed overflow is undefined.
+SIGVP_SIMPLE_OP(op_add_i, r[d.dst].bits = r[d.src0].bits + r[d.src1].bits)
+SIGVP_SIMPLE_OP(op_sub_i, r[d.dst].bits = r[d.src0].bits - r[d.src1].bits)
+SIGVP_SIMPLE_OP(op_mul_i, r[d.dst].bits = r[d.src0].bits * r[d.src1].bits)
 SIGVP_OP(op_div_i) {
   RegValue* const r = t.regs;
   if (r[d.src1].i() == 0) [[unlikely]] throw_div_zero(m);
@@ -113,7 +115,7 @@ SIGVP_OP(op_rem_i) {
 }
 SIGVP_SIMPLE_OP(op_min_i, r[d.dst].set_i(std::min(r[d.src0].i(), r[d.src1].i())))
 SIGVP_SIMPLE_OP(op_max_i, r[d.dst].set_i(std::max(r[d.src0].i(), r[d.src1].i())))
-SIGVP_SIMPLE_OP(op_neg_i, r[d.dst].set_i(-r[d.src0].i()))
+SIGVP_SIMPLE_OP(op_neg_i, r[d.dst].bits = 0 - r[d.src0].bits)
 SIGVP_SIMPLE_OP(op_abs_i, r[d.dst].set_i(std::abs(r[d.src0].i())))
 SIGVP_SIMPLE_OP(op_set_lt_i, r[d.dst].set_i(r[d.src0].i() < r[d.src1].i()))
 SIGVP_SIMPLE_OP(op_set_le_i, r[d.dst].set_i(r[d.src0].i() <= r[d.src1].i()))

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <exception>
 #include <memory>
 #include <vector>
 
@@ -34,18 +33,10 @@ using interp_detail::run_tier2_block;
 using interp_detail::Tier2Arena;
 using interp_detail::Tier2Program;
 
-/// Upper bound on canonical chunks. Chosen so an 8-worker run still has ~8
-/// chunks per worker to balance uneven block costs, while per-chunk L2
+/// Upper bound on canonical chunks. Chosen so an 8-wide run still has ~8
+/// chunks per thread to balance uneven block costs, while per-chunk L2
 /// shards stay coarse enough to be meaningful.
 constexpr std::size_t kMaxChunks = 64;
-
-/// Shared pool for grid-level parallelism. Sized past the host concurrency
-/// so the multi-worker code paths are exercised (and testable) even on small
-/// machines; idle workers just sleep on the queue.
-run::ThreadPool& interp_pool() {
-  static run::ThreadPool pool(std::max<std::size_t>(run::ThreadPool::default_workers(), 8));
-  return pool;
-}
 
 /// [first_block, last_block) of canonical chunk `c` out of `chunks`, over a
 /// grid of `num_blocks` row-major linear block ids. Pure function of the
@@ -62,9 +53,11 @@ ChunkRange chunk_range(std::uint64_t num_blocks, std::size_t chunks, std::size_t
   return r;
 }
 
-/// Per-runner scratch: the Tier-1 arena plus the Tier-2 slab arena. Only the
-/// tier the launch selected allocates anything.
-struct RunnerArenas {
+/// Per-thread scratch: the Tier-1 arena plus the Tier-2 slab arena, reused
+/// by every chunk the thread runs. Only the tier a launch selected grows
+/// anything. A chunk never starts another chunk on its own thread, so one
+/// set per thread suffices.
+struct ThreadArenas {
   ExecArena t1;
   Tier2Arena t2;
 };
@@ -104,9 +97,7 @@ DynamicProfile execute_launch(const KernelIR& ir, const DecodedProgram& prog,
   // Global atomics make cross-chunk memory order observable, so they force
   // serial chunk execution (which reproduces the old row-major serial
   // semantics exactly).
-  std::size_t workers = run::inner_parallel_workers(options.workers);
-  if (prog.has_global_atomics) workers = 1;
-  workers = std::min(workers, chunks);
+  const std::size_t width = prog.has_global_atomics ? 1 : options.workers;
 
   // Host-domain chunk spans: how the simulator's own threads spent their
   // wall-clock interpreting this launch. One pointer test when tracing is
@@ -116,23 +107,37 @@ DynamicProfile execute_launch(const KernelIR& ir, const DecodedProgram& prog,
 
   // One canonical chunk, on whichever thread runs it: its own access hook,
   // its blocks serially in row-major order on the selected tier (per-block
-  // observables are tier-invariant), λ/barrier counts into `into`, its span.
-  const auto run_one_chunk = [&](std::size_t c, RunnerArenas& arenas, DynamicProfile& into) {
+  // observables are tier-invariant), λ/barrier counts into its private
+  // profile, its span. Profiles merge below in canonical chunk order.
+  // A chunk above one that already failed is skipped: parallel_for reports
+  // the lowest failing chunk's error, and that one is below it.
+  std::vector<DynamicProfile> chunk_profiles(chunks);
+  std::atomic<std::size_t> failed_chunk{chunks};
+  run::parallel_for(chunks, width, [&](std::size_t c) {
+    if (c > failed_chunk.load()) return;
+    thread_local ThreadArenas arenas;
+    DynamicProfile& into = chunk_profiles[c];
+    into.block_visits.assign(ir.blocks.size(), 0);
     const MemAccessHook hook = options.access_hook ? options.access_hook(c) : MemAccessHook{};
     const MemAccessHook* const hook_ptr = hook ? &hook : nullptr;
     const double host_t0 = tracer != nullptr ? tracer->host_now_us() : 0.0;
     const ChunkRange range = chunk_range(num_blocks, chunks, c);
-    for (std::uint64_t lin = range.first; lin < range.last; ++lin) {
-      const auto bx = static_cast<std::uint32_t>(lin % dims.grid_x);
-      const auto by = static_cast<std::uint32_t>(lin / dims.grid_x);
-      if (t2 != nullptr) {
-        run_tier2_block(*t2, ir, dims, args, global, hook_ptr, options.max_instrs_per_thread,
-                        arenas.t2, into, bx, by);
-      } else {
-        run_decoded_block(prog, ir, dims, args, global, hook_ptr,
-                          options.max_instrs_per_thread, options.strict_barriers, arenas.t1,
-                          into, bx, by);
+    try {
+      for (std::uint64_t lin = range.first; lin < range.last; ++lin) {
+        const auto bx = static_cast<std::uint32_t>(lin % dims.grid_x);
+        const auto by = static_cast<std::uint32_t>(lin / dims.grid_x);
+        if (t2 != nullptr) {
+          run_tier2_block(*t2, ir, dims, args, global, hook_ptr, options.max_instrs_per_thread,
+                          arenas.t2, into, bx, by);
+        } else {
+          run_decoded_block(prog, ir, dims, args, global, hook_ptr,
+                            options.max_instrs_per_thread, options.strict_barriers, arenas.t1,
+                            into, bx, by);
+        }
       }
+    } catch (...) {
+      failed_chunk.store(c);
+      throw;
     }
     if (tracer != nullptr) {
       tracer->complete(tracer->host_pid(), tracer->host_tid(), span_cat,
@@ -140,51 +145,9 @@ DynamicProfile execute_launch(const KernelIR& ir, const DecodedProgram& prog,
                        tracer->host_now_us() - host_t0,
                        {trace::arg("chunk", static_cast<int>(c))});
     }
-  };
+  });
 
-  if (workers <= 1) {
-    // Serial path: chunks in canonical order on the calling thread.
-    RunnerArenas arenas;
-    for (std::size_t c = 0; c < chunks; ++c) run_one_chunk(c, arenas, profile);
-    finalize_from_visits(prog, profile);
-    return profile;
-  }
-
-  // Parallel path: `workers` runner tasks pull chunk indices from a shared
-  // counter. Each chunk accumulates into a private profile; merges happen
-  // below in canonical chunk order.
-  std::vector<DynamicProfile> chunk_profiles(chunks);
-  for (DynamicProfile& p : chunk_profiles) p.block_visits.assign(ir.blocks.size(), 0);
-  std::vector<std::exception_ptr> chunk_errors(chunks);
-  std::atomic<std::size_t> next_chunk{0};
-  std::atomic<bool> failed{false};
-
-  run::ThreadPool& pool = interp_pool();
-  for (std::size_t w = 0; w < workers; ++w) {
-    pool.submit([&] {
-      RunnerArenas arenas;  // reused across every chunk this runner executes
-      for (;;) {
-        const std::size_t c = next_chunk.fetch_add(1, std::memory_order_relaxed);
-        if (c >= chunks || failed.load(std::memory_order_relaxed)) return;
-        try {
-          run_one_chunk(c, arenas, chunk_profiles[c]);
-        } catch (...) {
-          chunk_errors[c] = std::current_exception();
-          failed.store(true, std::memory_order_relaxed);
-        }
-      }
-    });
-  }
-  pool.wait_idle();
-
-  // Deterministic error reporting: the lowest-numbered failing chunk wins,
-  // independent of which worker hit it first.
-  for (const std::exception_ptr& e : chunk_errors) {
-    if (e) std::rethrow_exception(e);
-  }
-
-  for (std::size_t c = 0; c < chunks; ++c) {
-    const DynamicProfile& p = chunk_profiles[c];
+  for (const DynamicProfile& p : chunk_profiles) {
     for (std::size_t b = 0; b < profile.block_visits.size(); ++b) {
       profile.block_visits[b] += p.block_visits[b];
     }

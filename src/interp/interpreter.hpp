@@ -74,10 +74,12 @@ class Interpreter {
     /// read-set/write-set recorder in here.
     std::function<MemAccessHook(std::size_t chunk)> access_hook;
 
-    /// Worker threads for grid-level parallelism. 0 = automatic: the host
-    /// default, collapsed to 1 inside an outer ThreadPool worker (nested
-    /// sweeps stay serial). 1 = serial. Any value yields bit-identical
-    /// results; only wall-clock changes.
+    /// Width of the grid-level run::parallel_for: at most this many threads
+    /// (the caller plus idle pool threads) execute chunks. 0 = the host's
+    /// hardware concurrency; 1 = serial. Inside a busy outer region (a sweep
+    /// job whose siblings hold every pool thread) chunks simply run on the
+    /// calling thread. Kernels with global atomics always run at width 1.
+    /// Any value yields bit-identical results; only wall-clock changes.
     std::size_t workers = 0;
 
     /// Diagnose divergent-exit barriers: when a barrier releases while some

@@ -143,12 +143,12 @@ void run_vec_prologue(T2Ctx& m, const std::vector<VecOp>& ops, std::uint32_t lan
       }
       T2_VEC(kMov, D[l] = A[l])
       T2_VEC(kSelect, D[l] = A[l].truthy() ? B[l] : C[l])
-      T2_VEC(kAddI, D[l].set_i(A[l].i() + B[l].i()))
-      T2_VEC(kSubI, D[l].set_i(A[l].i() - B[l].i()))
-      T2_VEC(kMulI, D[l].set_i(A[l].i() * B[l].i()))
+      T2_VEC(kAddI, D[l].bits = A[l].bits + B[l].bits)
+      T2_VEC(kSubI, D[l].bits = A[l].bits - B[l].bits)
+      T2_VEC(kMulI, D[l].bits = A[l].bits * B[l].bits)
       T2_VEC(kMinI, D[l].set_i(std::min(A[l].i(), B[l].i())))
       T2_VEC(kMaxI, D[l].set_i(std::max(A[l].i(), B[l].i())))
-      T2_VEC(kNegI, D[l].set_i(-A[l].i()))
+      T2_VEC(kNegI, D[l].bits = 0 - A[l].bits)
       T2_VEC(kAbsI, D[l].set_i(std::abs(A[l].i())))
       T2_VEC(kSetLtI, D[l].set_i(A[l].i() < B[l].i()))
       T2_VEC(kSetLeI, D[l].set_i(A[l].i() <= B[l].i()))
@@ -288,9 +288,10 @@ t2_dispatch:
   }
 
   // --- integer ---------------------------------------------------------------
-  T2_SIMPLE(add_i, r[d->d].set_i(r[d->a].i() + r[d->b].i()))
-  T2_SIMPLE(sub_i, r[d->d].set_i(r[d->a].i() - r[d->b].i()))
-  T2_SIMPLE(mul_i, r[d->d].set_i(r[d->a].i() * r[d->b].i()))
+  // Integer add/sub/mul/neg wrap on the raw bits, as in Tier 1.
+  T2_SIMPLE(add_i, r[d->d].bits = r[d->a].bits + r[d->b].bits)
+  T2_SIMPLE(sub_i, r[d->d].bits = r[d->a].bits - r[d->b].bits)
+  T2_SIMPLE(mul_i, r[d->d].bits = r[d->a].bits * r[d->b].bits)
   T2_CASE(div_i) {
     T2_TICK();
     if (r[d->b].i() == 0) [[unlikely]] throw_div_zero(m);
@@ -305,7 +306,7 @@ t2_dispatch:
   }
   T2_SIMPLE(min_i, r[d->d].set_i(std::min(r[d->a].i(), r[d->b].i())))
   T2_SIMPLE(max_i, r[d->d].set_i(std::max(r[d->a].i(), r[d->b].i())))
-  T2_SIMPLE(neg_i, r[d->d].set_i(-r[d->a].i()))
+  T2_SIMPLE(neg_i, r[d->d].bits = 0 - r[d->a].bits)
   T2_SIMPLE(abs_i, r[d->d].set_i(std::abs(r[d->a].i())))
   T2_SIMPLE(set_lt_i, r[d->d].set_i(r[d->a].i() < r[d->b].i()))
   T2_SIMPLE(set_le_i, r[d->d].set_i(r[d->a].i() <= r[d->b].i()))
@@ -472,28 +473,28 @@ t2_dispatch:
   // micro-op.
   T2_CASE(mul_add_i) {
     T2_TICK();
-    r[d->d].set_i(r[d->a].i() * r[d->b].i());
+    r[d->d].bits = r[d->a].bits * r[d->b].bits;
     T2_TICK();
-    r[d->d2].set_i(r[d->a2].i() + r[d->b2].i());
+    r[d->d2].bits = r[d->a2].bits + r[d->b2].bits;
     T2_NEXT();
   }
   T2_CASE(shl_add_i) {
     T2_TICK();
     r[d->d].bits = r[d->a].bits << (r[d->b].bits & 63);
     T2_TICK();
-    r[d->d2].set_i(r[d->a2].i() + r[d->b2].i());
+    r[d->d2].bits = r[d->a2].bits + r[d->b2].bits;
     T2_NEXT();
   }
   T2_CASE(add_add_i) {
     T2_TICK();
-    r[d->d].set_i(r[d->a].i() + r[d->b].i());
+    r[d->d].bits = r[d->a].bits + r[d->b].bits;
     T2_TICK();
-    r[d->d2].set_i(r[d->a2].i() + r[d->b2].i());
+    r[d->d2].bits = r[d->a2].bits + r[d->b2].bits;
     T2_NEXT();
   }
   T2_CASE(add_i_jmp) {
     T2_TICK();
-    r[d->d].set_i(r[d->a].i() + r[d->b].i());
+    r[d->d].bits = r[d->a].bits + r[d->b].bits;
     T2_TICK();
     T2_TAKE(d->target_pc, d->target_block);
   }

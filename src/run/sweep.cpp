@@ -45,7 +45,7 @@ SampleSummary SweepResult::summarize_group(const std::string& group) const {
 }
 
 SweepRunner::SweepRunner(std::size_t workers)
-    : workers_(workers == 0 ? ThreadPool::default_workers() : workers) {}
+    : workers_(workers == 0 ? default_workers() : workers) {}
 
 namespace {
 
@@ -88,8 +88,8 @@ struct CheckpointState {
   }
 };
 
-/// Parses all of `text` as a T; throws ContractError naming `what` when any
-/// of it is not part of the number (`--workers abc`, `--shards 2x`, "").
+}  // namespace
+
 template <typename T>
 T parse_number(const char* text, const char* what) {
   const char* const end = text + std::strlen(text);
@@ -100,7 +100,8 @@ T parse_number(const char* text, const char* what) {
   return value;
 }
 
-}  // namespace
+template std::uint64_t parse_number<std::uint64_t>(const char*, const char*);
+template double parse_number<double>(const char*, const char*);
 
 SweepResult SweepRunner::run(const std::vector<SweepJob>& jobs) const {
   return run(jobs, SweepSnapshotOptions{}, nullptr);
@@ -198,9 +199,8 @@ SweepResult SweepRunner::run(const std::vector<SweepJob>& jobs, const SweepSnaps
   {
     // Results land in their input slot, so aggregation order — and therefore
     // every downstream number — is independent of scheduling order.
-    ThreadPool pool(std::min(workers_, std::max<std::size_t>(1, jobs.size())));
     trace::Tracer* tracer = trace::Tracer::active();
-    parallel_for(pool, jobs.size(),
+    parallel_for(jobs.size(), workers_,
                  [&jobs, &out, tracer, &done, &loaded, have, checkpointing, &snap, &state,
                   &saved_delta](std::size_t i) {
       if (done[i]) return;  // spliced from the checkpoint
@@ -274,12 +274,12 @@ SweepCli parse_sweep_cli(int argc, char** argv, const std::string& default_json)
     if (us > 0.0) cli.snapshot_every_us = us;
   }
   if (const char* shards = std::getenv("SIGVP_SHARDS"); shards != nullptr && *shards != '\0') {
-    cli.shards = parse_number<std::size_t>(shards, "SIGVP_SHARDS");
+    cli.shards = parse_number<std::uint64_t>(shards, "SIGVP_SHARDS");
   }
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg == "--workers" && i + 1 < argc) {
-      cli.workers = parse_number<std::size_t>(argv[++i], "--workers");
+      cli.workers = parse_number<std::uint64_t>(argv[++i], "--workers");
     } else if (arg == "--json" && i + 1 < argc) {
       cli.json_path = argv[++i];
     } else if (arg == "--trace" && i + 1 < argc) {
@@ -292,7 +292,7 @@ SweepCli parse_sweep_cli(int argc, char** argv, const std::string& default_json)
     } else if (arg == "--resume" && i + 1 < argc) {
       cli.resume_path = argv[++i];
     } else if (arg == "--shards" && i + 1 < argc) {
-      cli.shards = parse_number<std::size_t>(argv[++i], "--shards");
+      cli.shards = parse_number<std::uint64_t>(argv[++i], "--shards");
     }
   }
   if (!cli.trace_path.empty()) trace::Tracer::enable(cli.trace_path);

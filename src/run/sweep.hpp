@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <memory>
 #include <string>
 #include <vector>
@@ -99,6 +100,7 @@ struct SweepResumeInfo {
 /// never-interrupted run at any worker count.
 class SweepRunner {
  public:
+  /// At most `workers` jobs run at once (the parallel_for width);
   /// `workers == 0` picks the host's hardware concurrency.
   explicit SweepRunner(std::size_t workers = 0);
 
@@ -134,8 +136,8 @@ class SweepRunner {
 /// `--resume FILE` names an explicit snapshot file to resume from. Flags
 /// override the environment.
 ///
-/// Fleet sharding: `--shards N` (or SIGVP_SHARDS) sets how many host
-/// threads advance a sharded fleet's simulation domains between
+/// Fleet sharding: `--shards N` (or SIGVP_SHARDS) sets the parallel_for
+/// width a sharded fleet's simulation domains are advanced with between
 /// synchronization horizons (run::set_fleet_shards). Execution-only: any
 /// value produces byte-identical BENCH JSON; 1 (the default) advances
 /// domains serially.
@@ -163,6 +165,13 @@ struct SweepCli {
 };
 
 SweepCli parse_sweep_cli(int argc, char** argv, const std::string& default_json);
+
+/// Parses all of `text` as a T (std::uint64_t or double); throws
+/// ContractError naming `what` when any of it is not part of the number
+/// (`--workers abc`, `--shards 2x`, ""). The benches that read their own
+/// numeric flags use it too.
+template <typename T>
+T parse_number(const char* text, const char* what);
 
 /// If the tracer is active, writes its trace file now and logs the path;
 /// returns false only on an actual write failure (inactive tracer is a

@@ -317,6 +317,42 @@ TEST(ShardedFleet, BenchJsonByteIdenticalAcrossShardsAndWorkers) {
   EXPECT_GT(func.fleet.cache_hits + func.fleet.cache_misses, 0u);
 }
 
+TEST(ShardedFleet, ConcurrentFleetsWithDifferentDomainCountsShareOnePool) {
+  // Concurrent sharded scenarios ask for different widths (min(--shards, D)).
+  // A pool rebuilt whenever a wider one is asked for could be freed under a
+  // narrower job still advancing its domains on it; the one pool only grows.
+  // Every simulation byte must still match the serial run.
+  static const auto suite = workloads::make_suite();
+  const workloads::Workload& va = workloads::find(suite, "vectorAdd");
+  workloads::AppTraits quick = va.traits;
+  quick.iterations = 2;
+  std::vector<run::SweepJob> jobs;
+  for (const std::uint32_t domains : {2u, 3u, 4u, 6u, 2u, 5u}) {
+    run::SweepJob job;
+    job.name = "fleet" + std::to_string(jobs.size()) + "-d" + std::to_string(domains);
+    job.group = "fleet";
+    job.config = fleet_config(domains);
+    for (std::uint32_t i = 0; i < 2 * domains; ++i) {
+      job.apps.push_back(AppInstance{&va, va.test_n, quick});
+      job.apps.back().jitter = i;
+    }
+    jobs.push_back(job);
+  }
+  auto canonical = [](run::SweepResult r) {
+    r.wall_ms = 0.0;
+    r.workers = 1;
+    return run::sweep_to_json(r, "fleet-concurrent");
+  };
+
+  run::set_fleet_shards(1);
+  const std::string want = canonical(run::SweepRunner(1).run(jobs));
+  run::set_fleet_shards(4);
+  for (int round = 0; round < 3; ++round) {
+    EXPECT_EQ(canonical(run::SweepRunner(jobs.size()).run(jobs)), want) << "round " << round;
+  }
+  run::set_fleet_shards(1);
+}
+
 // --- captures, checkpoint, resume --------------------------------------------
 
 TEST(ShardedFleet, CapturesReplayAndDetectTampering) {

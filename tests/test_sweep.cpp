@@ -1,15 +1,21 @@
-// Tests of the parallel scenario sweep engine (src/run): the thread pool,
-// parallel_for, the SweepRunner determinism contract (identical results for
-// any worker count), result aggregation, CLI parsing and the JSON writer.
+// Tests of the parallel scenario sweep engine (src/run): parallel_for and the
+// one host worker pool behind it, the SweepRunner determinism contract
+// (identical results for any worker count), result aggregation, CLI parsing
+// and the JSON writer.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <functional>
+#include <memory>
 #include <sstream>
 #include <stdexcept>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -25,83 +31,142 @@ namespace sigvp {
 namespace {
 
 TEST(ThreadPool, RunsEverySubmittedTask) {
-  run::ThreadPool pool(4);
-  EXPECT_EQ(pool.size(), 4u);
+  // The one pool serves every call in turn and stays usable between them.
   std::atomic<int> count{0};
-  for (int i = 0; i < 100; ++i) {
-    pool.submit([&count] { count.fetch_add(1, std::memory_order_relaxed); });
+  for (int call = 0; call < 50; ++call) {
+    run::parallel_for(2, 4, [&count](std::size_t) {
+      count.fetch_add(1, std::memory_order_relaxed);
+    });
   }
-  pool.wait_idle();
   EXPECT_EQ(count.load(), 100);
-  // The pool stays usable after wait_idle.
-  pool.submit([&count] { count.fetch_add(1, std::memory_order_relaxed); });
-  pool.wait_idle();
-  EXPECT_EQ(count.load(), 101);
 }
 
 TEST(ThreadPool, DefaultWorkersIsAtLeastOne) {
-  EXPECT_GE(run::ThreadPool::default_workers(), 1u);
-  run::ThreadPool pool(0);
-  EXPECT_EQ(pool.size(), run::ThreadPool::default_workers());
+  EXPECT_GE(run::default_workers(), 1u);
+  // Width 0 means default_workers(): the pool grows to serve it.
+  std::atomic<int> count{0};
+  run::parallel_for(run::default_workers(), 0, [&count](std::size_t) { count += 1; });
+  EXPECT_EQ(count.load(), static_cast<int>(run::default_workers()));
+  EXPECT_GE(run::pool_stats().threads, run::default_workers() - 1);
 }
 
 TEST(ParallelFor, CoversEveryIndexExactlyOnce) {
-  run::ThreadPool pool(3);
   std::vector<int> hits(128, 0);  // disjoint slots: no synchronization needed
-  run::parallel_for(pool, hits.size(), [&hits](std::size_t i) { hits[i] += 1; });
+  run::parallel_for(hits.size(), 3, [&hits](std::size_t i) { hits[i] += 1; });
   for (std::size_t i = 0; i < hits.size(); ++i) {
     EXPECT_EQ(hits[i], 1) << "index " << i;
   }
 }
 
 TEST(ParallelFor, RethrowsLowestIndexExceptionAfterDraining) {
-  run::ThreadPool pool(4);
-  std::vector<int> hits(32, 0);
-  try {
-    run::parallel_for(pool, hits.size(), [&hits](std::size_t i) {
-      if (i == 5 || i == 20) throw std::runtime_error("boom " + std::to_string(i));
-      hits[i] = 1;
-    });
-    FAIL() << "parallel_for swallowed the exception";
-  } catch (const std::runtime_error& e) {
-    EXPECT_STREQ(e.what(), "boom 5");  // lowest failing index wins
-  }
-  // Every non-throwing task still ran: a failure does not cancel the sweep.
-  for (std::size_t i = 0; i < hits.size(); ++i) {
-    if (i == 5 || i == 20) continue;
-    EXPECT_EQ(hits[i], 1) << "index " << i;
+  for (std::size_t width : {1u, 4u}) {
+    std::vector<int> hits(32, 0);
+    try {
+      run::parallel_for(hits.size(), width, [&hits](std::size_t i) {
+        if (i == 5 || i == 20) throw std::runtime_error("boom " + std::to_string(i));
+        hits[i] = 1;
+      });
+      FAIL() << "parallel_for swallowed the exception";
+    } catch (const std::runtime_error& e) {
+      EXPECT_STREQ(e.what(), "boom 5") << "width " << width;  // lowest failing index wins
+    }
+    // Every non-throwing index still ran: a failure does not cancel the sweep.
+    for (std::size_t i = 0; i < hits.size(); ++i) {
+      if (i == 5 || i == 20) continue;
+      EXPECT_EQ(hits[i], 1) << "index " << i << ", width " << width;
+    }
   }
 }
 
-TEST(ParallelFor, ChunksByGrainNotPerIndex) {
-  // The grain regression: 100k fleet domains must not become 100k queue
-  // round-trips. Chunks are max(1, count / (workers * 4)) indices each.
-  run::ThreadPool pool(4);
+TEST(ParallelFor, QueuesAtMostWidthMinusOneHelpers) {
+  // Queued work is bounded by the width, not by the index count: 100k fleet
+  // domains never become 100k queue round-trips.
   std::vector<std::atomic<int>> hits(1024);
-  std::uint64_t before = pool.tasks_submitted();
-  run::parallel_for(pool, hits.size(), [&hits](std::size_t i) { hits[i] += 1; });
-  // 1024 / (4 * 4) = 64-index chunks -> exactly 16 pool tasks.
-  EXPECT_EQ(pool.tasks_submitted() - before, 16u);
+  std::uint64_t before = run::pool_stats().helpers_queued;
+  run::parallel_for(hits.size(), 4, [&hits](std::size_t i) { hits[i] += 1; });
+  EXPECT_LE(run::pool_stats().helpers_queued - before, 3u);
   for (std::size_t i = 0; i < hits.size(); ++i) EXPECT_EQ(hits[i].load(), 1);
 
-  // Small counts degrade gracefully to one task per index.
-  before = pool.tasks_submitted();
-  std::atomic<int> small{0};
-  run::parallel_for(pool, 10, [&small](std::size_t) { small += 1; });
-  EXPECT_EQ(pool.tasks_submitted() - before, 10u);
-  EXPECT_EQ(small.load(), 10);
+  // Never more helpers than indices the caller could leave to them, and
+  // none at width 1.
+  before = run::pool_stats().helpers_queued;
+  run::parallel_for(2, 64, [](std::size_t) {});
+  EXPECT_LE(run::pool_stats().helpers_queued - before, 1u);
+  before = run::pool_stats().helpers_queued;
+  run::parallel_for(64, 1, [](std::size_t) {});
+  EXPECT_EQ(run::pool_stats().helpers_queued - before, 0u);
+}
+
+TEST(ParallelFor, PoolGrowsToTheWidestRequestAndNeverShrinks) {
+  run::parallel_for(6, 6, [](std::size_t) {});
+  const std::size_t grown = run::pool_stats().threads;
+  EXPECT_GE(grown, 5u);
+  run::parallel_for(2, 2, [](std::size_t) {});
+  EXPECT_EQ(run::pool_stats().threads, grown);
 }
 
 TEST(ParallelFor, NestedCallsOnSharedPoolDoNotDeadlock) {
-  // The fleet executor's shape: sweep workers running parallel_for on the
-  // same pool their own task executes on. The waiting caller must help
-  // drain the queue or a 2-thread pool wedges instantly.
-  run::ThreadPool pool(2);
+  // The fleet executor's shape: sweep jobs running parallel_for on the same
+  // pool their own region runs on. A nested region that finds no idle
+  // thread runs inline, so even width 2 cannot wedge.
   std::atomic<int> count{0};
-  run::parallel_for(pool, 4, [&pool, &count](std::size_t) {
-    run::parallel_for(pool, 8, [&count](std::size_t) { count += 1; });
+  run::parallel_for(4, 2, [&count](std::size_t) {
+    run::parallel_for(8, 2, [&count](std::size_t) { count += 1; });
   });
   EXPECT_EQ(count.load(), 32);
+}
+
+TEST(ParallelFor, ThreeDeepNestingFromSeveralThreadsRunsEveryIndexOnce) {
+  // Sweep jobs -> fleet shards -> interpreter chunks, each level asking for
+  // more width than the pool has, entered from several threads at once.
+  constexpr std::size_t kCallers = 3, kJobs = 5, kShards = 4, kChunks = 6, kWidth = 12;
+  std::vector<std::atomic<int>> hits(kCallers * kJobs * kShards * kChunks);
+  std::vector<std::thread> callers;
+  for (std::size_t t = 0; t < kCallers; ++t) {
+    callers.emplace_back([&hits, t] {
+      run::parallel_for(kJobs, kWidth, [&hits, t](std::size_t job) {
+        run::parallel_for(kShards, kWidth, [&hits, t, job](std::size_t shard) {
+          run::parallel_for(kChunks, kWidth, [&hits, t, job, shard](std::size_t chunk) {
+            hits[((t * kJobs + job) * kShards + shard) * kChunks + chunk] += 1;
+          });
+        });
+      });
+    });
+  }
+  for (std::thread& c : callers) c.join();
+  for (std::size_t i = 0; i < hits.size(); ++i) EXPECT_EQ(hits[i].load(), 1) << "slot " << i;
+}
+
+TEST(ParallelFor, LateHelpersNeverTouchAFinishedRegion) {
+  // A caller that drains every index itself returns without waiting for the
+  // helpers it queued; those start later, against a finished region, and
+  // must leave without calling `fn`. Trivial bodies make this the common
+  // case: the caller finishes eight no-ops long before a sleeping thread
+  // wakes. Every round's `fn` stays alive to the end of the test, so a late
+  // call would be counted rather than be undefined behaviour.
+  struct Round {
+    std::atomic<bool> returned{false};
+    std::atomic<int> hits[8] = {};
+    std::function<void(std::size_t)> fn;
+  };
+  std::atomic<int> calls_after_return{0};
+  std::vector<std::unique_ptr<Round>> rounds;
+  const std::uint64_t late_before = run::pool_stats().late_helpers;
+  for (int r = 0; r < 2000; ++r) {
+    Round& round = *rounds.emplace_back(std::make_unique<Round>());
+    round.fn = [&round, &calls_after_return](std::size_t i) {
+      if (round.returned.load()) calls_after_return += 1;
+      round.hits[i] += 1;
+    };
+    run::parallel_for(8, 8, round.fn);
+    round.returned.store(true);
+    for (const std::atomic<int>& h : round.hits) ASSERT_EQ(h.load(), 1);
+    if (r >= 100 && run::pool_stats().late_helpers > late_before) break;
+  }
+  EXPECT_GT(run::pool_stats().late_helpers, late_before) << "no helper ever started late";
+  // Give helpers still queued from the last rounds time to run.
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  EXPECT_EQ(calls_after_return.load(), 0);
 }
 
 TEST(SweepRunner, RejectsUnnamedAndDuplicateJobs) {

@@ -36,7 +36,7 @@ struct Row {
 
 int main(int argc, char** argv) {
   using namespace sigvp;
-  const run::SweepCli cli = run::parse_sweep_cli(argc, argv, "");
+  const run::SweepCli cli = bench::parse_sweep_cli_or_exit(argc, argv, "");
   const GpuArch host = make_quadro4000();
   const GpuArch target = make_tegrak1();
 

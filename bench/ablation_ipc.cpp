@@ -5,6 +5,7 @@
 
 #include <iostream>
 
+#include "bench_util.hpp"
 #include "core/scenario.hpp"
 #include "run/json_writer.hpp"
 #include "run/sweep.hpp"
@@ -40,7 +41,7 @@ int main(int argc, char** argv) {
   using namespace sigvp;
   constexpr std::uint64_t kM = 320;
   constexpr std::uint32_t kIters = 100;
-  const run::SweepCli cli = run::parse_sweep_cli(argc, argv, "BENCH_ablation_ipc.json");
+  const run::SweepCli cli = bench::parse_sweep_cli_or_exit(argc, argv, "BENCH_ablation_ipc.json");
 
   std::cout << "== Ablation: IPC transport (Table 1 matmul loop, " << kIters
             << " iterations) ==\n\n";

@@ -7,6 +7,7 @@
 
 #include <iostream>
 
+#include "bench_util.hpp"
 #include "core/scenario.hpp"
 #include "run/json_writer.hpp"
 #include "run/sweep.hpp"
@@ -38,7 +39,7 @@ run::SweepJob make_job(const workloads::Workload& w, const std::string& variant,
 
 int main(int argc, char** argv) {
   using namespace sigvp;
-  const run::SweepCli cli = run::parse_sweep_cli(argc, argv, "BENCH_ablation_opts.json");
+  const run::SweepCli cli = bench::parse_sweep_cli_or_exit(argc, argv, "BENCH_ablation_opts.json");
   std::cout << "== Ablation: per-optimization contribution (8 VPs, makespan in ms) ==\n\n";
 
   const auto suite = workloads::make_suite();

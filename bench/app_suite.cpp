@@ -24,6 +24,7 @@
 #include <vector>
 
 #include "app_suite_jobs.hpp"
+#include "bench_util.hpp"
 #include "core/scenario.hpp"
 #include "run/json_writer.hpp"
 #include "run/sweep.hpp"
@@ -45,7 +46,7 @@ bool check(bool ok, const std::string& what) {
 int main(int argc, char** argv) {
   using namespace sigvp;
   using run::traffic::Shape;
-  const run::SweepCli cli = run::parse_sweep_cli(argc, argv, "BENCH_app_suite.json");
+  const run::SweepCli cli = bench::parse_sweep_cli_or_exit(argc, argv, "BENCH_app_suite.json");
   const auto suite = workloads::make_app_suite();
 
   std::cout << "== App suite: open-loop traffic, latency percentiles ==\n"

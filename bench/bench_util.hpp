@@ -1,17 +1,48 @@
 #pragma once
 
-// Shared helpers for the estimation-shaped benches (ablation_estimation,
-// fig12_timing, fig13_power): one definition of "functionally evaluate a
-// suite workload on an architecture" so the three tables are guaranteed to
-// price identical executions.
+// Shared helpers for the benches: flag-error handling for every bench main,
+// and for the estimation-shaped benches (ablation_estimation, fig12_timing,
+// fig13_power) one definition of "functionally evaluate a suite workload on
+// an architecture" so the three tables are guaranteed to price identical
+// executions.
 
+#include <cstdlib>
+#include <iostream>
+#include <string>
 #include <vector>
 
 #include "gpu/offline.hpp"
 #include "mem/allocator.hpp"
+#include "run/sweep.hpp"
+#include "util/check.hpp"
 #include "workloads/suite.hpp"
 
 namespace sigvp::bench {
+
+/// Runs `parse`, a bench's flag parsing, and returns its result. A malformed
+/// number (the ContractError run::parse_number and run::parse_sweep_cli
+/// throw) prints the error and a usage line and exits with status 2.
+template <class Parse>
+auto parse_flags_or_exit(char** argv, const char* usage, Parse&& parse) {
+  try {
+    return parse();
+  } catch (const ContractError& e) {
+    std::cerr << argv[0] << ": " << e.what() << "\nusage: " << argv[0] << ' ' << usage << '\n';
+    std::exit(2);
+  }
+}
+
+/// Flags run::parse_sweep_cli understands.
+inline constexpr const char* kSweepUsage =
+    "[--workers N] [--json PATH] [--trace PATH] [--shards N] [--snapshot-dir DIR] "
+    "[--snapshot-every US] [--resume FILE]";
+
+/// run::parse_sweep_cli for a sweep-shaped bench, exiting 2 on a malformed flag.
+inline run::SweepCli parse_sweep_cli_or_exit(int argc, char** argv,
+                                             const std::string& default_json) {
+  const auto parse = [&] { return run::parse_sweep_cli(argc, argv, default_json); };
+  return parse_flags_or_exit(argv, kSweepUsage, parse);
+}
 
 /// Allocates the workload's buffers in a fresh 512 MB address space, fills
 /// every input buffer with the suite's canonical 0.75f pattern, and prices

@@ -20,6 +20,7 @@
 #include <iostream>
 #include <vector>
 
+#include "bench_util.hpp"
 #include "core/scenario.hpp"
 #include "run/json_writer.hpp"
 #include "run/sweep.hpp"
@@ -82,7 +83,8 @@ run::SweepJob make_job(const workloads::Workload& w, bool optimized,
 
 int main(int argc, char** argv) {
   using namespace sigvp;
-  const run::SweepCli cli = run::parse_sweep_cli(argc, argv, "BENCH_fault_tolerance.json");
+  const run::SweepCli cli =
+      bench::parse_sweep_cli_or_exit(argc, argv, "BENCH_fault_tolerance.json");
   std::cout << "== Fault tolerance: SigmaVP host stack under injected faults ==\n\n";
 
   const auto suite = workloads::make_suite();

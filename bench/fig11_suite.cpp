@@ -15,6 +15,7 @@
 
 #include <iostream>
 
+#include "bench_util.hpp"
 #include "core/scenario.hpp"
 #include "run/json_writer.hpp"
 #include "run/sweep.hpp"
@@ -49,7 +50,7 @@ run::SweepJob make_job(const workloads::Workload& w, Backend backend, bool optim
 
 int main(int argc, char** argv) {
   using namespace sigvp;
-  const run::SweepCli cli = run::parse_sweep_cli(argc, argv, "BENCH_fig11_suite.json");
+  const run::SweepCli cli = bench::parse_sweep_cli_or_exit(argc, argv, "BENCH_fig11_suite.json");
   std::cout << "== Fig. 11: GPU emulation on 8 VPs vs SigmaVP multiplexing, "
             << "per application ==\n\n";
 

@@ -39,7 +39,7 @@ struct Cell {
 
 int main(int argc, char** argv) {
   using namespace sigvp;
-  const run::SweepCli cli = run::parse_sweep_cli(argc, argv, "");
+  const run::SweepCli cli = bench::parse_sweep_cli_or_exit(argc, argv, "");
   const auto suite = workloads::make_suite();
   const GpuArch target = make_tegrak1();
   const std::vector<const char*> apps = {"BlackScholes", "matrixMul", "dct8x8",

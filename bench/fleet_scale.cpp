@@ -27,6 +27,7 @@
 #include <string>
 #include <vector>
 
+#include "bench_util.hpp"
 #include "core/scenario.hpp"
 #include "run/json_writer.hpp"
 #include "run/sweep.hpp"
@@ -121,21 +122,26 @@ int main(int argc, char** argv) {
   std::size_t reps = 1;
   std::string json_path = "BENCH_fleet_scale.json";
   bool speedup_gate = true;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--max-vps" && i + 1 < argc) {
-      max_vps = run::parse_number<std::uint64_t>(argv[++i], "--max-vps");
-    } else if (arg == "--scale-shards" && i + 1 < argc) {
-      scale_shards =
-          std::max<std::size_t>(1, run::parse_number<std::uint64_t>(argv[++i], "--scale-shards"));
-    } else if (arg == "--reps" && i + 1 < argc) {
-      reps = std::max<std::size_t>(1, run::parse_number<std::uint64_t>(argv[++i], "--reps"));
-    } else if (arg == "--json" && i + 1 < argc) {
-      json_path = argv[++i];
-    } else if (arg == "--no-speedup-gate") {
-      speedup_gate = false;
+  const char* const usage =
+      "[--max-vps N] [--scale-shards N] [--reps N] [--json PATH] [--no-speedup-gate]";
+  const auto parse_flags = [&] {
+    for (int i = 1; i < argc; ++i) {
+      const std::string arg = argv[i];
+      if (arg == "--max-vps" && i + 1 < argc) {
+        max_vps = run::parse_number<std::uint64_t>(argv[++i], "--max-vps");
+      } else if (arg == "--scale-shards" && i + 1 < argc) {
+        scale_shards =
+            std::max<std::size_t>(1, run::parse_number<std::uint64_t>(argv[++i], "--scale-shards"));
+      } else if (arg == "--reps" && i + 1 < argc) {
+        reps = std::max<std::size_t>(1, run::parse_number<std::uint64_t>(argv[++i], "--reps"));
+      } else if (arg == "--json" && i + 1 < argc) {
+        json_path = argv[++i];
+      } else if (arg == "--no-speedup-gate") {
+        speedup_gate = false;
+      }
     }
-  }
+  };
+  bench::parse_flags_or_exit(argv, usage, parse_flags);
 
   const auto suite = workloads::make_suite();
   const workloads::Workload& w = workloads::find(suite, "vectorAdd");

@@ -21,6 +21,7 @@
 #include <string>
 #include <vector>
 
+#include "bench_util.hpp"
 #include "interp/interpreter.hpp"
 #include "mem/address_space.hpp"
 #include "mem/allocator.hpp"
@@ -143,20 +144,24 @@ int main(int argc, char** argv) {
   std::uint64_t size_override = 0;
   std::size_t reps = 1;
   std::string json_path = "BENCH_interp.json";
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--workers" && i + 1 < argc) {
-      only_workers = run::parse_number<std::uint64_t>(argv[++i], "--workers");
-    } else if (arg == "--n" && i + 1 < argc) {
-      size_override = run::parse_number<std::uint64_t>(argv[++i], "--n");
-    } else if (arg == "--reps" && i + 1 < argc) {
-      reps = std::max<std::size_t>(1, run::parse_number<std::uint64_t>(argv[++i], "--reps"));
-    } else if (arg == "--json" && i + 1 < argc) {
-      json_path = argv[++i];
-    } else if (arg == "--trace" && i + 1 < argc) {
-      trace::Tracer::enable(argv[++i]);
+  const char* const usage = "[--workers N] [--n N] [--reps N] [--json PATH] [--trace PATH]";
+  const auto parse_flags = [&] {
+    for (int i = 1; i < argc; ++i) {
+      const std::string arg = argv[i];
+      if (arg == "--workers" && i + 1 < argc) {
+        only_workers = run::parse_number<std::uint64_t>(argv[++i], "--workers");
+      } else if (arg == "--n" && i + 1 < argc) {
+        size_override = run::parse_number<std::uint64_t>(argv[++i], "--n");
+      } else if (arg == "--reps" && i + 1 < argc) {
+        reps = std::max<std::size_t>(1, run::parse_number<std::uint64_t>(argv[++i], "--reps"));
+      } else if (arg == "--json" && i + 1 < argc) {
+        json_path = argv[++i];
+      } else if (arg == "--trace" && i + 1 < argc) {
+        trace::Tracer::enable(argv[++i]);
+      }
     }
-  }
+  };
+  bench::parse_flags_or_exit(argv, usage, parse_flags);
 
   std::vector<std::size_t> ladder = {1, 2, 4, 8};
   if (only_workers != 0) ladder = {only_workers};

@@ -21,6 +21,7 @@
 #include <string>
 #include <vector>
 
+#include "bench_util.hpp"
 #include "core/scenario.hpp"
 #include "gpu/launch_cache.hpp"
 #include "run/json_writer.hpp"
@@ -110,7 +111,7 @@ struct Point {
 int main(int argc, char** argv) {
   using namespace sigvp;
   const run::SweepCli cli =
-      run::parse_sweep_cli(argc, argv, "BENCH_launch_cache_speedup.json");
+      bench::parse_sweep_cli_or_exit(argc, argv, "BENCH_launch_cache_speedup.json");
   const auto suite = workloads::make_suite();
 
   std::cout << "== Launch cache: fleet scenarios, cache-disabled vs cache-enabled ==\n"

@@ -31,6 +31,7 @@
 #include <string>
 #include <vector>
 
+#include "bench_util.hpp"
 #include "core/scenario.hpp"
 #include "run/json_writer.hpp"
 #include "run/sweep.hpp"
@@ -89,16 +90,6 @@ ScenarioResult timed_run(const ScenarioConfig& cfg, const std::vector<AppInstanc
   return result;
 }
 
-/// Full sim-domain JSON of one result — the byte-identity probe. Host-only
-/// fields (workers, wall_ms) are pinned so only simulation bytes remain.
-std::string result_json(const ScenarioResult& r) {
-  run::SweepResult one;
-  one.jobs.push_back(run::SweepJobResult{"probe", "multigpu", r});
-  one.workers = 1;
-  one.wall_ms = 0.0;
-  return run::sweep_to_json(one, "multigpu_placement_probe");
-}
-
 struct Point {
   std::string label;
   std::size_t devices = 0;
@@ -119,14 +110,17 @@ int main(int argc, char** argv) {
 
   std::size_t reps = 1;
   std::string json_path = "BENCH_multigpu_placement.json";
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--reps" && i + 1 < argc) {
-      reps = std::max<std::size_t>(1, run::parse_number<std::uint64_t>(argv[++i], "--reps"));
-    } else if (arg == "--json" && i + 1 < argc) {
-      json_path = argv[++i];
+  const auto parse_flags = [&] {
+    for (int i = 1; i < argc; ++i) {
+      const std::string arg = argv[i];
+      if (arg == "--reps" && i + 1 < argc) {
+        reps = std::max<std::size_t>(1, run::parse_number<std::uint64_t>(argv[++i], "--reps"));
+      } else if (arg == "--json" && i + 1 < argc) {
+        json_path = argv[++i];
+      }
     }
-  }
+  };
+  bench::parse_flags_or_exit(argv, "[--reps N] [--json PATH]", parse_flags);
 
   const auto suite = workloads::make_suite();
   const workloads::Workload& w = workloads::find(suite, "vectorAdd");

@@ -25,6 +25,7 @@
 #include <vector>
 
 #include "app_suite_jobs.hpp"
+#include "bench_util.hpp"
 #include "fault/crash.hpp"
 #include "run/json_writer.hpp"
 #include "run/sweep.hpp"
@@ -326,12 +327,15 @@ int main(int argc, char** argv) {
   }
   bool keep = false;
   std::uint64_t seeds = 0;
-  for (int i = 1; i < argc; ++i) {
-    if (std::string(argv[i]) == "--keep") keep = true;
-    if (std::string(argv[i]) == "--seeds" && i + 1 < argc) {
-      seeds = run::parse_number<std::uint64_t>(argv[++i], "--seeds");
+  const auto parse_flags = [&] {
+    for (int i = 1; i < argc; ++i) {
+      if (std::string(argv[i]) == "--keep") keep = true;
+      if (std::string(argv[i]) == "--seeds" && i + 1 < argc) {
+        seeds = run::parse_number<std::uint64_t>(argv[++i], "--seeds");
+      }
     }
-  }
+  };
+  bench::parse_flags_or_exit(argv, "[--seeds N] [--keep]", parse_flags);
 
   const std::string exe = fs::absolute(argv[0]).string();
   const fs::path workdir = fs::absolute("soak_recovery_work");

@@ -21,6 +21,7 @@
 #include <string>
 #include <vector>
 
+#include "bench_util.hpp"
 #include "interp/interpreter.hpp"
 #include "interp/tier2.hpp"
 #include "mem/address_space.hpp"
@@ -159,18 +160,22 @@ int main(int argc, char** argv) {
   std::uint64_t size_override = 0;
   std::size_t reps = 3;
   std::string json_path = "BENCH_tier.json";
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--n" && i + 1 < argc) {
-      size_override = run::parse_number<std::uint64_t>(argv[++i], "--n");
-    } else if (arg == "--reps" && i + 1 < argc) {
-      reps = std::max<std::size_t>(1, run::parse_number<std::uint64_t>(argv[++i], "--reps"));
-    } else if (arg == "--json" && i + 1 < argc) {
-      json_path = argv[++i];
-    } else if (arg == "--trace" && i + 1 < argc) {
-      trace::Tracer::enable(argv[++i]);
+  const char* const usage = "[--n N] [--reps N] [--json PATH] [--trace PATH]";
+  const auto parse_flags = [&] {
+    for (int i = 1; i < argc; ++i) {
+      const std::string arg = argv[i];
+      if (arg == "--n" && i + 1 < argc) {
+        size_override = run::parse_number<std::uint64_t>(argv[++i], "--n");
+      } else if (arg == "--reps" && i + 1 < argc) {
+        reps = std::max<std::size_t>(1, run::parse_number<std::uint64_t>(argv[++i], "--reps"));
+      } else if (arg == "--json" && i + 1 < argc) {
+        json_path = argv[++i];
+      } else if (arg == "--trace" && i + 1 < argc) {
+        trace::Tracer::enable(argv[++i]);
+      }
     }
-  }
+  };
+  bench::parse_flags_or_exit(argv, usage, parse_flags);
 
   std::cout << "== tier_throughput: Tier-1 interpreter vs Tier-2 threaded code ==\n\n";
 

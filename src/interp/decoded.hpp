@@ -162,9 +162,8 @@ struct ThreadState {
   std::uint64_t instrs_executed = 0;
 };
 
-/// Everything a handler may touch, flattened into one context block.
-struct ExecContext {
-  const DecodedInstr* code = nullptr;
+/// Launch and block state every op body may read, shared by both tiers.
+struct BlockCtx {
   LaunchDims dims;
   const std::uint64_t* argv = nullptr;
   std::size_t argc = 0;
@@ -177,6 +176,27 @@ struct ExecContext {
   std::uint32_t ctaid_y = 0;
   const KernelIR* ir = nullptr;  // cold paths only (error messages)
 };
+
+/// The block context of block `(ctaid_x, ctaid_y)`; `shared` is the block's
+/// shared-memory image and `profile` receives its λ counts.
+BlockCtx block_ctx(const KernelIR& ir, const LaunchDims& dims, const KernelArgs& args,
+                   AddressSpace& global, const MemAccessHook* hook, DynamicProfile& profile,
+                   std::vector<std::uint8_t>& shared, std::uint32_t ctaid_x,
+                   std::uint32_t ctaid_y);
+
+/// Everything a Tier-1 handler may touch, flattened into one context block.
+struct ExecContext : BlockCtx {
+  const DecodedInstr* code = nullptr;
+};
+
+// Cold paths of both tiers. Everything that throws is kept out of line so
+// the dispatch loops stay branch-predictable and free of implicit string
+// construction.
+[[noreturn, gnu::cold, gnu::noinline]] void throw_budget_exhausted(const KernelIR& ir);
+[[noreturn, gnu::cold, gnu::noinline]] void throw_shared_oob(const KernelIR& ir);
+[[noreturn, gnu::cold, gnu::noinline]] void throw_zero_divisor(const KernelIR& ir, Opcode op);
+[[noreturn, gnu::cold, gnu::noinline]] void throw_bad_param(const KernelIR& ir);
+[[noreturn, gnu::cold, gnu::noinline]] void throw_bad_fallthrough(const KernelIR& ir);
 
 /// Reusable per-worker scratch: thread states, one register slab for the
 /// whole block, and the shared-memory image. Blocks executed back-to-back

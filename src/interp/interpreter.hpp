@@ -18,6 +18,8 @@ namespace sigvp {
 struct RegValue {
   std::uint64_t bits = 0;
 
+  void set_bits(std::uint64_t v) { bits = v; }
+
   std::int64_t i() const { return std::bit_cast<std::int64_t>(bits); }
   void set_i(std::int64_t v) { bits = std::bit_cast<std::uint64_t>(v); }
 

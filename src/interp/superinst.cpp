@@ -4,265 +4,18 @@ namespace sigvp::interp_detail {
 
 namespace {
 
-/// Generic (one micro-op) Tier-2 opcode for a Tier-1 opcode, or SOp::kCount
-/// when the op has no Tier-2 lowering (global atomics stay on Tier 1: their
-/// cross-chunk memory order already forces the interpreter serial, so there
-/// is nothing for a faster tier to win).
-SOp generic_sop(Opcode op) {
-  switch (op) {
-    case Opcode::kNop: return SOp::k_nop;
-    case Opcode::kMovImmI:
-    case Opcode::kMovImmF32:
-    case Opcode::kMovImmF64: return SOp::k_load_const;
-    case Opcode::kMov: return SOp::k_mov;
-    case Opcode::kReadSpecial: return SOp::k_read_special;
-    case Opcode::kLdParam: return SOp::k_ld_param;
-    case Opcode::kSelect: return SOp::k_select;
-
-    case Opcode::kAddI: return SOp::k_add_i;
-    case Opcode::kSubI: return SOp::k_sub_i;
-    case Opcode::kMulI: return SOp::k_mul_i;
-    case Opcode::kDivI: return SOp::k_div_i;
-    case Opcode::kRemI: return SOp::k_rem_i;
-    case Opcode::kMinI: return SOp::k_min_i;
-    case Opcode::kMaxI: return SOp::k_max_i;
-    case Opcode::kNegI: return SOp::k_neg_i;
-    case Opcode::kAbsI: return SOp::k_abs_i;
-    case Opcode::kSetLtI: return SOp::k_set_lt_i;
-    case Opcode::kSetLeI: return SOp::k_set_le_i;
-    case Opcode::kSetEqI: return SOp::k_set_eq_i;
-    case Opcode::kSetNeI: return SOp::k_set_ne_i;
-    case Opcode::kSetGtI: return SOp::k_set_gt_i;
-    case Opcode::kSetGeI: return SOp::k_set_ge_i;
-    case Opcode::kCvtF32ToI: return SOp::k_cvt_f32_to_i;
-    case Opcode::kCvtF64ToI: return SOp::k_cvt_f64_to_i;
-
-    case Opcode::kAndB: return SOp::k_and_b;
-    case Opcode::kOrB: return SOp::k_or_b;
-    case Opcode::kXorB: return SOp::k_xor_b;
-    case Opcode::kNotB: return SOp::k_not_b;
-    case Opcode::kShlB: return SOp::k_shl_b;
-    case Opcode::kShrB: return SOp::k_shr_b;
-    case Opcode::kShrA: return SOp::k_shr_a;
-
-    case Opcode::kAddF32: return SOp::k_add_f32;
-    case Opcode::kSubF32: return SOp::k_sub_f32;
-    case Opcode::kMulF32: return SOp::k_mul_f32;
-    case Opcode::kDivF32: return SOp::k_div_f32;
-    case Opcode::kFmaF32: return SOp::k_fma_f32;
-    case Opcode::kSqrtF32: return SOp::k_sqrt_f32;
-    case Opcode::kRsqrtF32: return SOp::k_rsqrt_f32;
-    case Opcode::kExpF32: return SOp::k_exp_f32;
-    case Opcode::kLogF32: return SOp::k_log_f32;
-    case Opcode::kSinF32: return SOp::k_sin_f32;
-    case Opcode::kCosF32: return SOp::k_cos_f32;
-    case Opcode::kMinF32: return SOp::k_min_f32;
-    case Opcode::kMaxF32: return SOp::k_max_f32;
-    case Opcode::kAbsF32: return SOp::k_abs_f32;
-    case Opcode::kNegF32: return SOp::k_neg_f32;
-    case Opcode::kFloorF32: return SOp::k_floor_f32;
-    case Opcode::kSetLtF32: return SOp::k_set_lt_f32;
-    case Opcode::kSetLeF32: return SOp::k_set_le_f32;
-    case Opcode::kSetEqF32: return SOp::k_set_eq_f32;
-    case Opcode::kSetGtF32: return SOp::k_set_gt_f32;
-    case Opcode::kSetGeF32: return SOp::k_set_ge_f32;
-    case Opcode::kCvtIToF32: return SOp::k_cvt_i_to_f32;
-    case Opcode::kCvtF64ToF32: return SOp::k_cvt_f64_to_f32;
-
-    case Opcode::kAddF64: return SOp::k_add_f64;
-    case Opcode::kSubF64: return SOp::k_sub_f64;
-    case Opcode::kMulF64: return SOp::k_mul_f64;
-    case Opcode::kDivF64: return SOp::k_div_f64;
-    case Opcode::kFmaF64: return SOp::k_fma_f64;
-    case Opcode::kSqrtF64: return SOp::k_sqrt_f64;
-    case Opcode::kExpF64: return SOp::k_exp_f64;
-    case Opcode::kLogF64: return SOp::k_log_f64;
-    case Opcode::kSinF64: return SOp::k_sin_f64;
-    case Opcode::kCosF64: return SOp::k_cos_f64;
-    case Opcode::kMinF64: return SOp::k_min_f64;
-    case Opcode::kMaxF64: return SOp::k_max_f64;
-    case Opcode::kAbsF64: return SOp::k_abs_f64;
-    case Opcode::kNegF64: return SOp::k_neg_f64;
-    case Opcode::kFloorF64: return SOp::k_floor_f64;
-    case Opcode::kSetLtF64: return SOp::k_set_lt_f64;
-    case Opcode::kSetLeF64: return SOp::k_set_le_f64;
-    case Opcode::kSetEqF64: return SOp::k_set_eq_f64;
-    case Opcode::kSetGtF64: return SOp::k_set_gt_f64;
-    case Opcode::kSetGeF64: return SOp::k_set_ge_f64;
-    case Opcode::kCvtIToF64: return SOp::k_cvt_i_to_f64;
-    case Opcode::kCvtF32ToF64: return SOp::k_cvt_f32_to_f64;
-
-    case Opcode::kJmp: return SOp::k_jmp;
-    case Opcode::kBraZ: return SOp::k_bra_z;
-    case Opcode::kBraNZ: return SOp::k_bra_nz;
-    case Opcode::kRet: return SOp::k_ret;
-    case Opcode::kBar: return SOp::k_bar;
-
-    case Opcode::kLdGlobalF32: return SOp::k_ld_global_f32;
-    case Opcode::kLdGlobalF64: return SOp::k_ld_global_f64;
-    case Opcode::kLdGlobalI32: return SOp::k_ld_global_i32;
-    case Opcode::kLdGlobalI64: return SOp::k_ld_global_i64;
-    case Opcode::kLdGlobalU8: return SOp::k_ld_global_u8;
-    case Opcode::kStGlobalF32: return SOp::k_st_global_f32;
-    case Opcode::kStGlobalF64: return SOp::k_st_global_f64;
-    case Opcode::kStGlobalI32: return SOp::k_st_global_i32;
-    case Opcode::kStGlobalI64: return SOp::k_st_global_i64;
-    case Opcode::kStGlobalU8: return SOp::k_st_global_u8;
-
-    case Opcode::kLdSharedF32: return SOp::k_ld_shared_f32;
-    case Opcode::kLdSharedF64: return SOp::k_ld_shared_f64;
-    case Opcode::kLdSharedI64: return SOp::k_ld_shared_i64;
-    case Opcode::kStSharedF32: return SOp::k_st_shared_f32;
-    case Opcode::kStSharedF64: return SOp::k_st_shared_f64;
-    case Opcode::kStSharedI64: return SOp::k_st_shared_i64;
-
-    case Opcode::kAtomAddGlobalI64:
-    case Opcode::kAtomAddGlobalF32: return SOp::kCount;
-  }
-  return SOp::kCount;
-}
-
-/// Peephole pair table. A fused superinstruction executes `x` then `y` as
-/// two budget-ticked micro-ops in original order, so any operand overlap
-/// (y reading x's dst, y overwriting x's dst, ...) is automatically correct;
-/// the table only needs to name profitable adjacent shapes. Pairs whose
-/// second op is a branch may only form at a block's end (the caller
-/// guarantees `y` is then the block terminator).
+/// Superinstruction of the adjacent pair (x, y), or SOp::kCount. A fused op
+/// executes `x` then `y` as two budget-ticked micro-ops in original order,
+/// so any operand overlap (y reading x's dst, y overwriting x's dst, ...) is
+/// automatically correct; the tables only name profitable adjacent shapes.
+/// The caller only offers a branch `y` when it is the block terminator.
 SOp fuse_pair(Opcode x, Opcode y) {
-  switch (x) {
-    case Opcode::kMulI:
-      if (y == Opcode::kAddI) return SOp::k_mul_add_i;  // gid = ctaid*ntid + tid
-      break;
-    case Opcode::kShlB:
-      if (y == Opcode::kAddI) return SOp::k_shl_add_i;  // addr_of: base + (i<<log2)
-      break;
-    case Opcode::kAddI:
-      if (y == Opcode::kAddI) return SOp::k_add_add_i;
-      if (y == Opcode::kJmp) return SOp::k_add_i_jmp;  // loop-end increment+backedge
-      break;
-    case Opcode::kSetLtI:
-      if (y == Opcode::kBraZ) return SOp::k_set_lt_i_bra_z;  // guard / loop head
-      if (y == Opcode::kBraNZ) return SOp::k_set_lt_i_bra_nz;
-      break;
-    case Opcode::kSetGeI:
-      if (y == Opcode::kBraZ) return SOp::k_set_ge_i_bra_z;
-      if (y == Opcode::kBraNZ) return SOp::k_set_ge_i_bra_nz;
-      break;
-    case Opcode::kLdGlobalF32:
-      if (y == Opcode::kLdGlobalF32) return SOp::k_ld_ld_f32;
-      if (y == Opcode::kAddF32) return SOp::k_ld_add_f32;
-      if (y == Opcode::kMulF32) return SOp::k_ld_mul_f32;
-      if (y == Opcode::kSubF32) return SOp::k_ld_sub_f32;
-      break;
-    case Opcode::kAddF32:
-      if (y == Opcode::kStGlobalF32) return SOp::k_add_st_f32;
-      break;
-    case Opcode::kMulF32:
-      if (y == Opcode::kStGlobalF32) return SOp::k_mul_st_f32;
-      // Two separate roundings, never contracted to an fma — bit-exactness.
-      if (y == Opcode::kAddF32) return SOp::k_mul_add_f32;
-      break;
-    case Opcode::kSubF32:
-      if (y == Opcode::kStGlobalF32) return SOp::k_sub_st_f32;
-      break;
-    case Opcode::kFmaF32:
-      if (y == Opcode::kStGlobalF32) return SOp::k_fma_st_f32;
-      break;
-    default:
-      break;
-  }
+#define SIGVP_FUSE(name, first, second) \
+  if (x == Opcode::first && y == Opcode::second) return SOp::k_##name;
+  SIGVP_FUSED_OPS(SIGVP_FUSE)
+  SIGVP_FUSED_BRANCH_OPS(SIGVP_FUSE)
+#undef SIGVP_FUSE
   return SOp::kCount;
-}
-
-/// Ops eligible for the lane-lockstep vector prologue: pure register → no
-/// memory traffic, no hooks, no λ, no control flow. DivI/RemI are excluded
-/// (their zero-divisor trap would need per-lane unwind ordering); everything
-/// else that only reads lane-private registers and launch constants is in.
-bool vec_ok(Opcode op) {
-  switch (op) {
-    case Opcode::kMovImmI:
-    case Opcode::kMovImmF32:
-    case Opcode::kMovImmF64:
-    case Opcode::kMov:
-    case Opcode::kReadSpecial:
-    case Opcode::kLdParam:  // uniform bounds check, broadcast value
-    case Opcode::kSelect:
-    case Opcode::kAddI:
-    case Opcode::kSubI:
-    case Opcode::kMulI:
-    case Opcode::kMinI:
-    case Opcode::kMaxI:
-    case Opcode::kNegI:
-    case Opcode::kAbsI:
-    case Opcode::kSetLtI:
-    case Opcode::kSetLeI:
-    case Opcode::kSetEqI:
-    case Opcode::kSetNeI:
-    case Opcode::kSetGtI:
-    case Opcode::kSetGeI:
-    case Opcode::kCvtF32ToI:
-    case Opcode::kCvtF64ToI:
-    case Opcode::kAndB:
-    case Opcode::kOrB:
-    case Opcode::kXorB:
-    case Opcode::kNotB:
-    case Opcode::kShlB:
-    case Opcode::kShrB:
-    case Opcode::kShrA:
-    case Opcode::kAddF32:
-    case Opcode::kSubF32:
-    case Opcode::kMulF32:
-    case Opcode::kDivF32:
-    case Opcode::kFmaF32:
-    case Opcode::kMinF32:
-    case Opcode::kMaxF32:
-    case Opcode::kAbsF32:
-    case Opcode::kNegF32:
-    case Opcode::kFloorF32:
-    case Opcode::kSetLtF32:
-    case Opcode::kSetLeF32:
-    case Opcode::kSetEqF32:
-    case Opcode::kSetGtF32:
-    case Opcode::kSetGeF32:
-    case Opcode::kCvtIToF32:
-    case Opcode::kCvtF64ToF32:
-    case Opcode::kAddF64:
-    case Opcode::kSubF64:
-    case Opcode::kMulF64:
-    case Opcode::kDivF64:
-    case Opcode::kFmaF64:
-    case Opcode::kMinF64:
-    case Opcode::kMaxF64:
-    case Opcode::kAbsF64:
-    case Opcode::kNegF64:
-    case Opcode::kFloorF64:
-    case Opcode::kSetLtF64:
-    case Opcode::kSetLeF64:
-    case Opcode::kSetEqF64:
-    case Opcode::kSetGtF64:
-    case Opcode::kSetGeF64:
-    case Opcode::kCvtIToF64:
-    case Opcode::kCvtF32ToF64:
-      return true;
-    default:
-      return false;
-  }
-}
-
-bool sop_is_branch(SOp s) {
-  switch (s) {
-    case SOp::k_jmp:
-    case SOp::k_bra_z:
-    case SOp::k_bra_nz:
-    case SOp::k_add_i_jmp:
-    case SOp::k_set_lt_i_bra_z:
-    case SOp::k_set_lt_i_bra_nz:
-    case SOp::k_set_ge_i_bra_z:
-    case SOp::k_set_ge_i_bra_nz:
-      return true;
-    default:
-      return false;
-  }
 }
 
 }  // namespace
@@ -272,7 +25,7 @@ bool tier2_supported(const DecodedProgram& prog) {
   for (const DecodedBlock& db : prog.blocks) {
     for (std::uint32_t k = 0; k < db.num_instrs; ++k) {
       const DecodedInstr& d = prog.code[db.first_pc + k];
-      if (generic_sop(d.op) == SOp::kCount) return false;
+      if (static_cast<std::size_t>(d.op) >= kNumOpcodes) return false;
       // A mid-block terminator would make the block's lowered length
       // ambiguous; the builder never emits one, so just fall back.
       if (k + 1 < db.num_instrs && is_terminator(d.op)) return false;
@@ -308,7 +61,7 @@ std::shared_ptr<const Tier2Program> lower_program(const DecodedProgram& prog,
   if (!entry_is_target) {
     const DecodedBlock& b0 = prog.blocks[0];
     while (prologue_len < b0.num_instrs &&
-           vec_ok(prog.code[b0.first_pc + prologue_len].op)) {
+           op_has(prog.code[b0.first_pc + prologue_len].op, kOpVec)) {
       ++prologue_len;
     }
   }
@@ -316,7 +69,7 @@ std::shared_ptr<const Tier2Program> lower_program(const DecodedProgram& prog,
   for (std::uint32_t k = 0; k < prologue_len; ++k) {
     const DecodedInstr& d = prog.code[prog.blocks[0].first_pc + k];
     VecOp v;
-    v.op = d.op == Opcode::kMovImmF32 || d.op == Opcode::kMovImmF64 ? Opcode::kMovImmI : d.op;
+    v.op = d.op;
     v.d = scale(d.dst);
     v.a = scale(d.src0);
     v.b = scale(d.src1);
@@ -330,6 +83,7 @@ std::shared_ptr<const Tier2Program> lower_program(const DecodedProgram& prog,
   // non-overlapping pair fusion for everything else. Fusion never crosses a
   // block boundary, and branch targets only ever point at a block's first
   // instruction, so no fused pair can hide a jump target.
+  std::vector<std::size_t> branch_pcs;  // lowered instrs ending in a branch
   for (std::size_t bi = 0; bi < prog.blocks.size(); ++bi) {
     const DecodedBlock& db = prog.blocks[bi];
     out->block_first_pc[bi] = static_cast<std::uint32_t>(out->code.size());
@@ -362,11 +116,14 @@ std::shared_ptr<const Tier2Program> lower_program(const DecodedProgram& prog,
         }
       }
       if (fused == SOp::kCount) {
-        t.sop = static_cast<std::uint16_t>(generic_sop(x.op));
+        t.sop = static_cast<std::uint16_t>(x.op);  // generic SOps are in Opcode order
         t.target_block = x.target_block;
         t.fall_pc = x.fall_pc;
         t.fall_block = x.fall_block;
         k += 1;
+      }
+      if (is_branch_with_target(prog.code[db.first_pc + k - 1].op)) {
+        branch_pcs.push_back(out->code.size());
       }
       out->code.push_back(t);
     }
@@ -374,8 +131,8 @@ std::shared_ptr<const Tier2Program> lower_program(const DecodedProgram& prog,
   out->scalar_entry_pc = prologue_len;  // prologue region lowered 1:1 from pc 0
 
   // Fix up branch targets into the lowered pc space.
-  for (Tier2Instr& t : out->code) {
-    if (!sop_is_branch(static_cast<SOp>(t.sop))) continue;
+  for (const std::size_t pc : branch_pcs) {
+    Tier2Instr& t = out->code[pc];
     t.target_pc = out->block_first_pc[t.target_block];
     if (t.fall_pc != kInvalidPc) t.fall_pc = out->block_first_pc[t.fall_block];
   }

@@ -8,58 +8,49 @@
 
 namespace sigvp::interp_detail {
 
-/// Opcode space of the Tier-2 threaded-code engine (DESIGN.md §15). The
-/// X-macro keeps the enum, the computed-goto label table, and the dispatch
-/// bodies in tier2.cpp in lockstep: adding an op here without a body is a
-/// compile error, not a runtime hole.
-///
-/// Generic ops mirror the Tier-1 handler set one-to-one; the fused block at
-/// the end holds the peephole superinstructions. Every fused op executes its
-/// constituent micro-ops in the original program order — all destination
-/// registers are written, every memory access fires in sequence, and the
-/// per-thread budget ticks once per micro-op — so fusion is invisible to the
-/// byte-exactness contract by construction.
-#define SIGVP_TIER2_OPS(X)                                                    \
-  X(nop) X(load_const) X(mov) X(select) X(read_special) X(ld_param)           \
-  X(add_i) X(sub_i) X(mul_i) X(div_i) X(rem_i) X(min_i) X(max_i)              \
-  X(neg_i) X(abs_i)                                                           \
-  X(set_lt_i) X(set_le_i) X(set_eq_i) X(set_ne_i) X(set_gt_i) X(set_ge_i)     \
-  X(cvt_f32_to_i) X(cvt_f64_to_i)                                             \
-  X(and_b) X(or_b) X(xor_b) X(not_b) X(shl_b) X(shr_b) X(shr_a)               \
-  X(add_f32) X(sub_f32) X(mul_f32) X(div_f32) X(fma_f32) X(sqrt_f32)          \
-  X(rsqrt_f32) X(exp_f32) X(log_f32) X(sin_f32) X(cos_f32) X(min_f32)         \
-  X(max_f32) X(abs_f32) X(neg_f32) X(floor_f32)                               \
-  X(set_lt_f32) X(set_le_f32) X(set_eq_f32) X(set_gt_f32) X(set_ge_f32)       \
-  X(cvt_i_to_f32) X(cvt_f64_to_f32)                                           \
-  X(add_f64) X(sub_f64) X(mul_f64) X(div_f64) X(fma_f64) X(sqrt_f64)          \
-  X(exp_f64) X(log_f64) X(sin_f64) X(cos_f64) X(min_f64) X(max_f64)           \
-  X(abs_f64) X(neg_f64) X(floor_f64)                                          \
-  X(set_lt_f64) X(set_le_f64) X(set_eq_f64) X(set_gt_f64) X(set_ge_f64)       \
-  X(cvt_i_to_f64) X(cvt_f32_to_f64)                                           \
-  X(jmp) X(bra_z) X(bra_nz) X(ret) X(bar)                                     \
-  X(ld_global_f32) X(ld_global_f64) X(ld_global_i32) X(ld_global_i64)         \
-  X(ld_global_u8)                                                             \
-  X(st_global_f32) X(st_global_f64) X(st_global_i32) X(st_global_i64)         \
-  X(st_global_u8)                                                             \
-  X(ld_shared_f32) X(ld_shared_f64) X(ld_shared_i64)                          \
-  X(st_shared_f32) X(st_shared_f64) X(st_shared_i64)                          \
-  /* fused superinstructions (two micro-ops per dispatch) */                  \
-  X(mul_add_i) X(shl_add_i) X(add_add_i) X(add_i_jmp)                         \
-  X(set_lt_i_bra_z) X(set_lt_i_bra_nz) X(set_ge_i_bra_z) X(set_ge_i_bra_nz)  \
-  X(ld_ld_f32) X(ld_add_f32) X(ld_mul_f32) X(ld_sub_f32)                      \
-  X(add_st_f32) X(mul_st_f32) X(sub_st_f32) X(fma_st_f32) X(mul_add_f32)
+/// Peephole superinstructions of the Tier-2 engine (DESIGN.md §15):
+/// (name, first op, second op). A fused op executes its constituent
+/// micro-ops in the original program order through the same op bodies as
+/// every other op — all destination registers are written, every memory
+/// access fires in sequence, and the per-thread budget ticks once per
+/// micro-op — so fusion is invisible to the byte-exactness contract by
+/// construction. The second op never reads src2.
+#define SIGVP_FUSED_OPS(X)                                              \
+  X(mul_add_i, kMulI, kAddI) /* gid = ctaid*ntid + tid */               \
+  X(shl_add_i, kShlB, kAddI) /* addr_of: base + (i<<log2) */            \
+  X(add_add_i, kAddI, kAddI)                                            \
+  X(ld_ld_f32, kLdGlobalF32, kLdGlobalF32)                              \
+  X(ld_add_f32, kLdGlobalF32, kAddF32)                                  \
+  X(ld_mul_f32, kLdGlobalF32, kMulF32)                                  \
+  X(ld_sub_f32, kLdGlobalF32, kSubF32)                                  \
+  X(add_st_f32, kAddF32, kStGlobalF32)                                  \
+  X(mul_st_f32, kMulF32, kStGlobalF32)                                  \
+  X(sub_st_f32, kSubF32, kStGlobalF32)                                  \
+  X(fma_st_f32, kFmaF32, kStGlobalF32)                                  \
+  X(mul_add_f32, kMulF32, kAddF32) /* two roundings, never an fma */
 
+/// Superinstructions whose second op is the block's terminator branch; they
+/// only form at a block's end.
+#define SIGVP_FUSED_BRANCH_OPS(X)                                          \
+  X(add_i_jmp, kAddI, kJmp) /* loop-end increment + backedge */            \
+  X(set_lt_i_bra_z, kSetLtI, kBraZ) /* guard / loop head */                \
+  X(set_lt_i_bra_nz, kSetLtI, kBraNZ)                                      \
+  X(set_ge_i_bra_z, kSetGeI, kBraZ)                                        \
+  X(set_ge_i_bra_nz, kSetGeI, kBraNZ)
+
+/// Opcode space of the Tier-2 threaded-code engine: one generic op per
+/// ops.def row, in Opcode order (so an op's generic SOp is its Opcode
+/// value), then the superinstructions. The enum, the computed-goto label
+/// table and the dispatch bodies in tier2.cpp all expand from the same
+/// lists: a row without a body is a compile error, not a runtime hole.
 enum class SOp : std::uint16_t {
-#define SIGVP_T2_ENUM(name) k_##name,
-  SIGVP_TIER2_OPS(SIGVP_T2_ENUM)
+#define SIGVP_OP(E, id, ...) k_##id,
+#include "ir/ops.def"
+#define SIGVP_T2_ENUM(name, ...) k_##name,
+  SIGVP_FUSED_OPS(SIGVP_T2_ENUM) SIGVP_FUSED_BRANCH_OPS(SIGVP_T2_ENUM)
 #undef SIGVP_T2_ENUM
       kCount
 };
-
-/// Index of the first fused opcode; everything at or past it carries two
-/// micro-ops (used by the lowering pass to count fusions).
-inline constexpr std::uint16_t kFirstFusedSOp =
-    static_cast<std::uint16_t>(SOp::k_mul_add_i);
 
 /// One Tier-2 threaded instruction. Register operands are pre-scaled SoA
 /// slot offsets (`reg << stride_shift`), so a handler's register access is

@@ -1,12 +1,10 @@
 #include "interp/tier2.hpp"
 
 #include <algorithm>
-#include <bit>
-#include <cmath>
 #include <cstdlib>
-#include <cstring>
 #include <string>
 
+#include "interp/op_exec.hpp"
 #include "trace/trace.hpp"
 #include "util/check.hpp"
 
@@ -15,70 +13,16 @@ namespace interp_detail {
 
 namespace {
 
-// ---------------------------------------------------------------------------
-// Execution context + cold paths. Identical shape (and messages) to the
-// Tier-1 interpreter so a launch that errors on Tier 2 errors the same way
-// it would have on Tier 1.
-// ---------------------------------------------------------------------------
-
-struct T2Ctx {
+/// Tier-2 block context: the shared block state plus the lowered code and
+/// the block's SoA register slab.
+struct T2Ctx : BlockCtx {
   const Tier2Instr* code = nullptr;
-  LaunchDims dims;
-  const std::uint64_t* argv = nullptr;
-  std::size_t argc = 0;
-  AddressSpace* global = nullptr;
-  const MemAccessHook* hook = nullptr;
-  std::uint64_t* block_visits = nullptr;
-  std::uint8_t* shared = nullptr;
-  std::size_t shared_size = 0;
-  std::uint32_t ctaid_x = 0;
-  std::uint32_t ctaid_y = 0;
-  const KernelIR* ir = nullptr;  // cold paths only (error messages)
-  RegValue* slab = nullptr;      // SoA register slab of the current block
+  RegValue* slab = nullptr;
 };
-
-[[noreturn]] __attribute__((noinline, cold)) void throw_budget_exhausted(const T2Ctx& m) {
-  sigvp::detail::raise_contract_error(
-      "precondition", "instrs_executed <= max_instrs_per_thread", __FILE__, __LINE__,
-      m.ir->name + ": per-thread instruction budget exhausted");
-}
-
-[[noreturn]] __attribute__((noinline, cold)) void throw_shared_oob(const T2Ctx& m) {
-  sigvp::detail::raise_contract_error("precondition", "shared access in bounds", __FILE__,
-                                      __LINE__,
-                                      m.ir->name + ": shared-memory access out of bounds");
-}
-
-[[noreturn]] __attribute__((noinline, cold)) void throw_div_zero(const T2Ctx& m) {
-  sigvp::detail::raise_contract_error("precondition", "divisor != 0", __FILE__, __LINE__,
-                                      m.ir->name + ": integer division by zero");
-}
-
-[[noreturn]] __attribute__((noinline, cold)) void throw_rem_zero(const T2Ctx& m) {
-  sigvp::detail::raise_contract_error("precondition", "divisor != 0", __FILE__, __LINE__,
-                                      m.ir->name + ": integer remainder by zero");
-}
-
-[[noreturn]] __attribute__((noinline, cold)) void throw_bad_param(const T2Ctx& m) {
-  sigvp::detail::raise_contract_error(
-      "precondition", "param index < argument count", __FILE__, __LINE__,
-      m.ir->name + ": kernel launched with too few arguments");
-}
-
-[[noreturn]] __attribute__((noinline, cold)) void throw_bad_fallthrough(const T2Ctx& m) {
-  sigvp::detail::raise_contract_error("invariant", "fallthrough block exists", __FILE__,
-                                      __LINE__, m.ir->name + ": branch to nonexistent block");
-}
-
-[[noreturn]] __attribute__((noinline, cold)) void throw_vec_unsupported(const T2Ctx& m) {
-  sigvp::detail::raise_contract_error("invariant", "prologue op is vectorizable", __FILE__,
-                                      __LINE__,
-                                      m.ir->name + ": non-vector op reached the prologue");
-}
 
 // ---------------------------------------------------------------------------
 // Vector prologue: the pure-register prefix of the entry block, executed in
-// lane lockstep over the SoA slab. Each case is a tight loop over lanes with
+// lane lockstep over the SoA slab. Each op is a tight loop over lanes with
 // contiguous loads/stores (register r's lanes live at slab[(r<<shift)..]),
 // which the compiler auto-vectorizes. Semantically this is exactly "every
 // thread runs the prefix before anything else" — legal because the prefix
@@ -86,124 +30,48 @@ struct T2Ctx {
 // thread can observe another thread's progress through it.
 // ---------------------------------------------------------------------------
 
-void run_vec_prologue(T2Ctx& m, const std::vector<VecOp>& ops, std::uint32_t lanes,
-                      const T2Thread* threads) {
-  RegValue* const slab = m.slab;
-  for (const VecOp& v : ops) {
-    RegValue* const D = slab + v.d;
-    const RegValue* const A = slab + v.a;
-    const RegValue* const B = slab + v.b;
-    const RegValue* const C = slab + v.c;
+using VecFn = void (*)(const T2Ctx&, const VecOp&, std::uint32_t lanes, const T2Thread*);
 
-#define T2_VEC(opc, stmt)                                 \
-  case Opcode::opc:                                       \
-    for (std::uint32_t l = 0; l < lanes; ++l) { stmt; }   \
-    break;
-
-    switch (v.op) {
-      case Opcode::kMovImmI: {  // FP immediates pre-encoded as bit patterns
-        const std::uint64_t bits = static_cast<std::uint64_t>(v.imm);
-        for (std::uint32_t l = 0; l < lanes; ++l) D[l].bits = bits;
-        break;
-      }
-      case Opcode::kReadSpecial: {
-        switch (static_cast<SpecialReg>(v.imm)) {
-          case SpecialReg::kTidX:
-            for (std::uint32_t l = 0; l < lanes; ++l) D[l].bits = threads[l].tid_x;
-            break;
-          case SpecialReg::kTidY:
-            for (std::uint32_t l = 0; l < lanes; ++l) D[l].bits = threads[l].tid_y;
-            break;
-          case SpecialReg::kCtaidX:
-            for (std::uint32_t l = 0; l < lanes; ++l) D[l].bits = m.ctaid_x;
-            break;
-          case SpecialReg::kCtaidY:
-            for (std::uint32_t l = 0; l < lanes; ++l) D[l].bits = m.ctaid_y;
-            break;
-          case SpecialReg::kNtidX:
-            for (std::uint32_t l = 0; l < lanes; ++l) D[l].bits = m.dims.block_x;
-            break;
-          case SpecialReg::kNtidY:
-            for (std::uint32_t l = 0; l < lanes; ++l) D[l].bits = m.dims.block_y;
-            break;
-          case SpecialReg::kNctaidX:
-            for (std::uint32_t l = 0; l < lanes; ++l) D[l].bits = m.dims.grid_x;
-            break;
-          case SpecialReg::kNctaidY:
-            for (std::uint32_t l = 0; l < lanes; ++l) D[l].bits = m.dims.grid_y;
-            break;
-        }
-        break;
-      }
-      case Opcode::kLdParam: {
-        if (static_cast<std::size_t>(v.imm) >= m.argc) [[unlikely]] throw_bad_param(m);
-        const std::uint64_t val = m.argv[static_cast<std::size_t>(v.imm)];
-        for (std::uint32_t l = 0; l < lanes; ++l) D[l].bits = val;
-        break;
-      }
-      T2_VEC(kMov, D[l] = A[l])
-      T2_VEC(kSelect, D[l] = A[l].truthy() ? B[l] : C[l])
-      T2_VEC(kAddI, D[l].bits = A[l].bits + B[l].bits)
-      T2_VEC(kSubI, D[l].bits = A[l].bits - B[l].bits)
-      T2_VEC(kMulI, D[l].bits = A[l].bits * B[l].bits)
-      T2_VEC(kMinI, D[l].set_i(std::min(A[l].i(), B[l].i())))
-      T2_VEC(kMaxI, D[l].set_i(std::max(A[l].i(), B[l].i())))
-      T2_VEC(kNegI, D[l].bits = 0 - A[l].bits)
-      T2_VEC(kAbsI, D[l].set_i(std::abs(A[l].i())))
-      T2_VEC(kSetLtI, D[l].set_i(A[l].i() < B[l].i()))
-      T2_VEC(kSetLeI, D[l].set_i(A[l].i() <= B[l].i()))
-      T2_VEC(kSetEqI, D[l].set_i(A[l].i() == B[l].i()))
-      T2_VEC(kSetNeI, D[l].set_i(A[l].i() != B[l].i()))
-      T2_VEC(kSetGtI, D[l].set_i(A[l].i() > B[l].i()))
-      T2_VEC(kSetGeI, D[l].set_i(A[l].i() >= B[l].i()))
-      T2_VEC(kCvtF32ToI, D[l].set_i(static_cast<std::int64_t>(A[l].f32())))
-      T2_VEC(kCvtF64ToI, D[l].set_i(static_cast<std::int64_t>(A[l].f64())))
-      T2_VEC(kAndB, D[l].bits = A[l].bits & B[l].bits)
-      T2_VEC(kOrB, D[l].bits = A[l].bits | B[l].bits)
-      T2_VEC(kXorB, D[l].bits = A[l].bits ^ B[l].bits)
-      T2_VEC(kNotB, D[l].bits = ~A[l].bits)
-      T2_VEC(kShlB, D[l].bits = A[l].bits << (B[l].bits & 63))
-      T2_VEC(kShrB, D[l].bits = A[l].bits >> (B[l].bits & 63))
-      T2_VEC(kShrA, D[l].set_i(A[l].i() >> (B[l].bits & 63)))
-      T2_VEC(kAddF32, D[l].set_f32(A[l].f32() + B[l].f32()))
-      T2_VEC(kSubF32, D[l].set_f32(A[l].f32() - B[l].f32()))
-      T2_VEC(kMulF32, D[l].set_f32(A[l].f32() * B[l].f32()))
-      T2_VEC(kDivF32, D[l].set_f32(A[l].f32() / B[l].f32()))
-      T2_VEC(kFmaF32, D[l].set_f32(std::fma(A[l].f32(), B[l].f32(), C[l].f32())))
-      T2_VEC(kMinF32, D[l].set_f32(std::fmin(A[l].f32(), B[l].f32())))
-      T2_VEC(kMaxF32, D[l].set_f32(std::fmax(A[l].f32(), B[l].f32())))
-      T2_VEC(kAbsF32, D[l].set_f32(std::fabs(A[l].f32())))
-      T2_VEC(kNegF32, D[l].set_f32(-A[l].f32()))
-      T2_VEC(kFloorF32, D[l].set_f32(std::floor(A[l].f32())))
-      T2_VEC(kSetLtF32, D[l].set_i(A[l].f32() < B[l].f32()))
-      T2_VEC(kSetLeF32, D[l].set_i(A[l].f32() <= B[l].f32()))
-      T2_VEC(kSetEqF32, D[l].set_i(A[l].f32() == B[l].f32()))
-      T2_VEC(kSetGtF32, D[l].set_i(A[l].f32() > B[l].f32()))
-      T2_VEC(kSetGeF32, D[l].set_i(A[l].f32() >= B[l].f32()))
-      T2_VEC(kCvtIToF32, D[l].set_f32(static_cast<float>(A[l].i())))
-      T2_VEC(kCvtF64ToF32, D[l].set_f32(static_cast<float>(A[l].f64())))
-      T2_VEC(kAddF64, D[l].set_f64(A[l].f64() + B[l].f64()))
-      T2_VEC(kSubF64, D[l].set_f64(A[l].f64() - B[l].f64()))
-      T2_VEC(kMulF64, D[l].set_f64(A[l].f64() * B[l].f64()))
-      T2_VEC(kDivF64, D[l].set_f64(A[l].f64() / B[l].f64()))
-      T2_VEC(kFmaF64, D[l].set_f64(std::fma(A[l].f64(), B[l].f64(), C[l].f64())))
-      T2_VEC(kMinF64, D[l].set_f64(std::fmin(A[l].f64(), B[l].f64())))
-      T2_VEC(kMaxF64, D[l].set_f64(std::fmax(A[l].f64(), B[l].f64())))
-      T2_VEC(kAbsF64, D[l].set_f64(std::fabs(A[l].f64())))
-      T2_VEC(kNegF64, D[l].set_f64(-A[l].f64()))
-      T2_VEC(kFloorF64, D[l].set_f64(std::floor(A[l].f64())))
-      T2_VEC(kSetLtF64, D[l].set_i(A[l].f64() < B[l].f64()))
-      T2_VEC(kSetLeF64, D[l].set_i(A[l].f64() <= B[l].f64()))
-      T2_VEC(kSetEqF64, D[l].set_i(A[l].f64() == B[l].f64()))
-      T2_VEC(kSetGtF64, D[l].set_i(A[l].f64() > B[l].f64()))
-      T2_VEC(kSetGeF64, D[l].set_i(A[l].f64() >= B[l].f64()))
-      T2_VEC(kCvtIToF64, D[l].set_f64(static_cast<double>(A[l].i())))
-      T2_VEC(kCvtF32ToF64, D[l].set_f64(static_cast<double>(A[l].f32())))
-      default:
-        throw_vec_unsupported(m);  // lowering and this switch drifted apart
+template <Opcode OP>
+void vec_op(const T2Ctx& m, const VecOp& v, std::uint32_t lanes, const T2Thread* threads) {
+  RegValue* const D = m.slab + v.d;
+  if constexpr (OP == Opcode::kReadSpecial) {
+    const auto sr = static_cast<SpecialReg>(v.imm);
+    if (sr == SpecialReg::kTidX) {
+      for (std::uint32_t l = 0; l < lanes; ++l) D[l].bits = threads[l].tid_x;
+    } else if (sr == SpecialReg::kTidY) {
+      for (std::uint32_t l = 0; l < lanes; ++l) D[l].bits = threads[l].tid_y;
+    } else {  // uniform across the block
+      const std::uint64_t val = special_value(m, sr, 0, 0);
+      for (std::uint32_t l = 0; l < lanes; ++l) D[l].bits = val;
     }
-#undef T2_VEC
+  } else if constexpr (OP == Opcode::kLdParam) {  // uniform bounds check, broadcast value
+    const std::uint64_t val = param_value(m, v.imm);
+    for (std::uint32_t l = 0; l < lanes; ++l) D[l].bits = val;
+  } else {
+    const RegValue* const A = m.slab + v.a;
+    const RegValue* const B = m.slab + v.b;
+    const RegValue* const C = m.slab + v.c;
+    for (std::uint32_t l = 0; l < lanes; ++l) eval<OP>(D[l], A[l], B[l], C[l], v.imm);
   }
+}
+
+template <Opcode OP>
+constexpr VecFn vec_fn() {
+  if constexpr (op_has(OP, kOpVec)) return vec_op<OP>;
+  return nullptr;
+}
+
+// Lowering admits only kOpVec rows into the prologue, so every entry it
+// reaches is non-null.
+constexpr VecFn kVecFns[kNumOpcodes] = {
+#define SIGVP_OP(E, ...) vec_fn<Opcode::E>(),
+#include "ir/ops.def"
+};
+
+void run_vec_prologue(const T2Ctx& m, const std::vector<VecOp>& ops, std::uint32_t lanes,
+                      const T2Thread* threads) {
+  for (const VecOp& v : ops) kVecFns[static_cast<std::size_t>(v.op)](m, v, lanes, threads);
 }
 
 // ---------------------------------------------------------------------------
@@ -221,11 +89,12 @@ void run_t2_thread(T2Ctx& m, T2Thread& t, const std::uint64_t max_instrs) {
   std::uint64_t n = t.instrs_executed;
 
 #if defined(__GNUC__) || defined(__clang__)
+#define SIGVP_T2_LABEL(name, ...) &&t2_##name,
   static const void* const table[] = {
-#define SIGVP_T2_LABEL(name) &&t2_##name,
-      SIGVP_TIER2_OPS(SIGVP_T2_LABEL)
+#define SIGVP_OP(E, id, ...) SIGVP_T2_LABEL(id)
+#include "ir/ops.def"
+      SIGVP_FUSED_OPS(SIGVP_T2_LABEL) SIGVP_FUSED_BRANCH_OPS(SIGVP_T2_LABEL)};
 #undef SIGVP_T2_LABEL
-  };
 #define T2_CASE(name) t2_##name:
 #define T2_GO() goto* table[d->sop]
 #define T2_END()
@@ -241,7 +110,7 @@ t2_dispatch:
 #endif
 
 #define T2_TICK() \
-  do { if (++n > max_instrs) [[unlikely]] throw_budget_exhausted(m); } while (0)
+  do { if (++n > max_instrs) [[unlikely]] throw_budget_exhausted(*m.ir); } while (0)
 #define T2_NEXT() \
   do { ++d; T2_GO(); } while (0)
 // Branch: bump λ of the target block, jump. Operands are captured before
@@ -254,143 +123,43 @@ t2_dispatch:
     d = m.code + t2_p;                                   \
     T2_GO();                                             \
   } while (0)
-#define T2_SIMPLE(name, body) \
-  T2_CASE(name) { T2_TICK(); body; T2_NEXT(); }
-#define T2_GADDR(slot, immv) (r[(slot)].bits + static_cast<std::uint64_t>(immv))
+// Control-flow tails, named by opcode; `reg` is the condition register.
+#define T2_FLOW_kJmp(reg) T2_TAKE(d->target_pc, d->target_block)
+#define T2_FLOW_kBraZ(reg) T2_BRANCH(reg, false)
+#define T2_FLOW_kBraNZ(reg) T2_BRANCH(reg, true)
+#define T2_BRANCH(reg, taken_if_nonzero)                                       \
+  do {                                                                         \
+    if (r[(reg)].truthy() == (taken_if_nonzero)) {                             \
+      T2_TAKE(d->target_pc, d->target_block);                                  \
+    }                                                                          \
+    if (d->fall_pc == kInvalidPc) [[unlikely]] throw_bad_fallthrough(*m.ir);   \
+    T2_TAKE(d->fall_pc, d->fall_block);                                        \
+  } while (0)
+#define T2_FIRST(E) exec_op<Opcode::E>(m, r, d->d, d->a, d->b, d->c, d->imm, t.tid_x, t.tid_y)
+#define T2_SECOND(E) exec_op<Opcode::E>(m, r, d->d2, d->a2, d->b2, 0, d->imm2, t.tid_x, t.tid_y)
 
-  T2_SIMPLE(nop, (void)0)
-  T2_SIMPLE(load_const, r[d->d].bits = static_cast<std::uint64_t>(d->imm))
-  T2_SIMPLE(mov, r[d->d] = r[d->a])
-  T2_SIMPLE(select, r[d->d] = r[d->a].truthy() ? r[d->b] : r[d->c])
-
-  T2_CASE(read_special) {
-    T2_TICK();
-    std::uint64_t v = 0;
-    switch (static_cast<SpecialReg>(d->imm)) {
-      case SpecialReg::kTidX: v = t.tid_x; break;
-      case SpecialReg::kTidY: v = t.tid_y; break;
-      case SpecialReg::kCtaidX: v = m.ctaid_x; break;
-      case SpecialReg::kCtaidY: v = m.ctaid_y; break;
-      case SpecialReg::kNtidX: v = m.dims.block_x; break;
-      case SpecialReg::kNtidY: v = m.dims.block_y; break;
-      case SpecialReg::kNctaidX: v = m.dims.grid_x; break;
-      case SpecialReg::kNctaidY: v = m.dims.grid_y; break;
-    }
-    r[d->d].bits = v;
-    T2_NEXT();
+  // --- straight-line rows: the shared op bodies -----------------------------
+#define SIGVP_OP(E, id, ...) \
+  T2_CASE(id) {              \
+    T2_TICK();               \
+    T2_FIRST(E);             \
+    T2_NEXT();               \
   }
-
-  T2_CASE(ld_param) {
-    T2_TICK();
-    if (static_cast<std::size_t>(d->imm) >= m.argc) [[unlikely]] throw_bad_param(m);
-    r[d->d].bits = m.argv[static_cast<std::size_t>(d->imm)];
-    T2_NEXT();
-  }
-
-  // --- integer ---------------------------------------------------------------
-  // Integer add/sub/mul/neg wrap on the raw bits, as in Tier 1.
-  T2_SIMPLE(add_i, r[d->d].bits = r[d->a].bits + r[d->b].bits)
-  T2_SIMPLE(sub_i, r[d->d].bits = r[d->a].bits - r[d->b].bits)
-  T2_SIMPLE(mul_i, r[d->d].bits = r[d->a].bits * r[d->b].bits)
-  T2_CASE(div_i) {
-    T2_TICK();
-    if (r[d->b].i() == 0) [[unlikely]] throw_div_zero(m);
-    r[d->d].set_i(r[d->a].i() / r[d->b].i());
-    T2_NEXT();
-  }
-  T2_CASE(rem_i) {
-    T2_TICK();
-    if (r[d->b].i() == 0) [[unlikely]] throw_rem_zero(m);
-    r[d->d].set_i(r[d->a].i() % r[d->b].i());
-    T2_NEXT();
-  }
-  T2_SIMPLE(min_i, r[d->d].set_i(std::min(r[d->a].i(), r[d->b].i())))
-  T2_SIMPLE(max_i, r[d->d].set_i(std::max(r[d->a].i(), r[d->b].i())))
-  T2_SIMPLE(neg_i, r[d->d].bits = 0 - r[d->a].bits)
-  T2_SIMPLE(abs_i, r[d->d].set_i(std::abs(r[d->a].i())))
-  T2_SIMPLE(set_lt_i, r[d->d].set_i(r[d->a].i() < r[d->b].i()))
-  T2_SIMPLE(set_le_i, r[d->d].set_i(r[d->a].i() <= r[d->b].i()))
-  T2_SIMPLE(set_eq_i, r[d->d].set_i(r[d->a].i() == r[d->b].i()))
-  T2_SIMPLE(set_ne_i, r[d->d].set_i(r[d->a].i() != r[d->b].i()))
-  T2_SIMPLE(set_gt_i, r[d->d].set_i(r[d->a].i() > r[d->b].i()))
-  T2_SIMPLE(set_ge_i, r[d->d].set_i(r[d->a].i() >= r[d->b].i()))
-  T2_SIMPLE(cvt_f32_to_i, r[d->d].set_i(static_cast<std::int64_t>(r[d->a].f32())))
-  T2_SIMPLE(cvt_f64_to_i, r[d->d].set_i(static_cast<std::int64_t>(r[d->a].f64())))
-
-  // --- bit -------------------------------------------------------------------
-  T2_SIMPLE(and_b, r[d->d].bits = r[d->a].bits & r[d->b].bits)
-  T2_SIMPLE(or_b, r[d->d].bits = r[d->a].bits | r[d->b].bits)
-  T2_SIMPLE(xor_b, r[d->d].bits = r[d->a].bits ^ r[d->b].bits)
-  T2_SIMPLE(not_b, r[d->d].bits = ~r[d->a].bits)
-  T2_SIMPLE(shl_b, r[d->d].bits = r[d->a].bits << (r[d->b].bits & 63))
-  T2_SIMPLE(shr_b, r[d->d].bits = r[d->a].bits >> (r[d->b].bits & 63))
-  T2_SIMPLE(shr_a, r[d->d].set_i(r[d->a].i() >> (r[d->b].bits & 63)))
-
-  // --- fp32 ------------------------------------------------------------------
-  T2_SIMPLE(add_f32, r[d->d].set_f32(r[d->a].f32() + r[d->b].f32()))
-  T2_SIMPLE(sub_f32, r[d->d].set_f32(r[d->a].f32() - r[d->b].f32()))
-  T2_SIMPLE(mul_f32, r[d->d].set_f32(r[d->a].f32() * r[d->b].f32()))
-  T2_SIMPLE(div_f32, r[d->d].set_f32(r[d->a].f32() / r[d->b].f32()))
-  T2_SIMPLE(fma_f32, r[d->d].set_f32(std::fma(r[d->a].f32(), r[d->b].f32(), r[d->c].f32())))
-  T2_SIMPLE(sqrt_f32, r[d->d].set_f32(std::sqrt(r[d->a].f32())))
-  T2_SIMPLE(rsqrt_f32, r[d->d].set_f32(1.0f / std::sqrt(r[d->a].f32())))
-  T2_SIMPLE(exp_f32, r[d->d].set_f32(std::exp(r[d->a].f32())))
-  T2_SIMPLE(log_f32, r[d->d].set_f32(std::log(r[d->a].f32())))
-  T2_SIMPLE(sin_f32, r[d->d].set_f32(std::sin(r[d->a].f32())))
-  T2_SIMPLE(cos_f32, r[d->d].set_f32(std::cos(r[d->a].f32())))
-  T2_SIMPLE(min_f32, r[d->d].set_f32(std::fmin(r[d->a].f32(), r[d->b].f32())))
-  T2_SIMPLE(max_f32, r[d->d].set_f32(std::fmax(r[d->a].f32(), r[d->b].f32())))
-  T2_SIMPLE(abs_f32, r[d->d].set_f32(std::fabs(r[d->a].f32())))
-  T2_SIMPLE(neg_f32, r[d->d].set_f32(-r[d->a].f32()))
-  T2_SIMPLE(floor_f32, r[d->d].set_f32(std::floor(r[d->a].f32())))
-  T2_SIMPLE(set_lt_f32, r[d->d].set_i(r[d->a].f32() < r[d->b].f32()))
-  T2_SIMPLE(set_le_f32, r[d->d].set_i(r[d->a].f32() <= r[d->b].f32()))
-  T2_SIMPLE(set_eq_f32, r[d->d].set_i(r[d->a].f32() == r[d->b].f32()))
-  T2_SIMPLE(set_gt_f32, r[d->d].set_i(r[d->a].f32() > r[d->b].f32()))
-  T2_SIMPLE(set_ge_f32, r[d->d].set_i(r[d->a].f32() >= r[d->b].f32()))
-  T2_SIMPLE(cvt_i_to_f32, r[d->d].set_f32(static_cast<float>(r[d->a].i())))
-  T2_SIMPLE(cvt_f64_to_f32, r[d->d].set_f32(static_cast<float>(r[d->a].f64())))
-
-  // --- fp64 ------------------------------------------------------------------
-  T2_SIMPLE(add_f64, r[d->d].set_f64(r[d->a].f64() + r[d->b].f64()))
-  T2_SIMPLE(sub_f64, r[d->d].set_f64(r[d->a].f64() - r[d->b].f64()))
-  T2_SIMPLE(mul_f64, r[d->d].set_f64(r[d->a].f64() * r[d->b].f64()))
-  T2_SIMPLE(div_f64, r[d->d].set_f64(r[d->a].f64() / r[d->b].f64()))
-  T2_SIMPLE(fma_f64, r[d->d].set_f64(std::fma(r[d->a].f64(), r[d->b].f64(), r[d->c].f64())))
-  T2_SIMPLE(sqrt_f64, r[d->d].set_f64(std::sqrt(r[d->a].f64())))
-  T2_SIMPLE(exp_f64, r[d->d].set_f64(std::exp(r[d->a].f64())))
-  T2_SIMPLE(log_f64, r[d->d].set_f64(std::log(r[d->a].f64())))
-  T2_SIMPLE(sin_f64, r[d->d].set_f64(std::sin(r[d->a].f64())))
-  T2_SIMPLE(cos_f64, r[d->d].set_f64(std::cos(r[d->a].f64())))
-  T2_SIMPLE(min_f64, r[d->d].set_f64(std::fmin(r[d->a].f64(), r[d->b].f64())))
-  T2_SIMPLE(max_f64, r[d->d].set_f64(std::fmax(r[d->a].f64(), r[d->b].f64())))
-  T2_SIMPLE(abs_f64, r[d->d].set_f64(std::fabs(r[d->a].f64())))
-  T2_SIMPLE(neg_f64, r[d->d].set_f64(-r[d->a].f64()))
-  T2_SIMPLE(floor_f64, r[d->d].set_f64(std::floor(r[d->a].f64())))
-  T2_SIMPLE(set_lt_f64, r[d->d].set_i(r[d->a].f64() < r[d->b].f64()))
-  T2_SIMPLE(set_le_f64, r[d->d].set_i(r[d->a].f64() <= r[d->b].f64()))
-  T2_SIMPLE(set_eq_f64, r[d->d].set_i(r[d->a].f64() == r[d->b].f64()))
-  T2_SIMPLE(set_gt_f64, r[d->d].set_i(r[d->a].f64() > r[d->b].f64()))
-  T2_SIMPLE(set_ge_f64, r[d->d].set_i(r[d->a].f64() >= r[d->b].f64()))
-  T2_SIMPLE(cvt_i_to_f64, r[d->d].set_f64(static_cast<double>(r[d->a].i())))
-  T2_SIMPLE(cvt_f32_to_f64, r[d->d].set_f64(static_cast<double>(r[d->a].f32())))
+#define SIGVP_FLOW(...)
+#include "ir/ops.def"
 
   // --- control flow ----------------------------------------------------------
   T2_CASE(jmp) {
     T2_TICK();
-    T2_TAKE(d->target_pc, d->target_block);
+    T2_FLOW_kJmp(d->a);
   }
   T2_CASE(bra_z) {
     T2_TICK();
-    if (!r[d->a].truthy()) T2_TAKE(d->target_pc, d->target_block);
-    if (d->fall_pc == kInvalidPc) [[unlikely]] throw_bad_fallthrough(m);
-    T2_TAKE(d->fall_pc, d->fall_block);
+    T2_FLOW_kBraZ(d->a);
   }
   T2_CASE(bra_nz) {
     T2_TICK();
-    if (r[d->a].truthy()) T2_TAKE(d->target_pc, d->target_block);
-    if (d->fall_pc == kInvalidPc) [[unlikely]] throw_bad_fallthrough(m);
-    T2_TAKE(d->fall_pc, d->fall_block);
+    T2_FLOW_kBraNZ(d->a);
   }
   T2_CASE(ret) {
     T2_TICK();
@@ -407,182 +176,38 @@ t2_dispatch:
     return;
   }
 
-  // --- global memory (hook fires before the access, as in Tier 1) -----------
-#define T2_LD_GLOBAL(name, type, assign)                        \
-  T2_CASE(name) {                                               \
-    T2_TICK();                                                  \
-    const std::uint64_t addr = T2_GADDR(d->a, d->imm);          \
-    if (m.hook) (*m.hook)(addr, sizeof(type), false);           \
-    const type v = m.global->read<type>(addr);                  \
-    assign;                                                     \
-    T2_NEXT();                                                  \
-  }
-#define T2_ST_GLOBAL(name, type, value)                         \
-  T2_CASE(name) {                                               \
-    T2_TICK();                                                  \
-    const std::uint64_t addr = T2_GADDR(d->a, d->imm);          \
-    if (m.hook) (*m.hook)(addr, sizeof(type), true);            \
-    m.global->write<type>(addr, (value));                       \
-    T2_NEXT();                                                  \
-  }
-
-  T2_LD_GLOBAL(ld_global_f32, float, r[d->d].set_f32(v))
-  T2_LD_GLOBAL(ld_global_f64, double, r[d->d].set_f64(v))
-  T2_LD_GLOBAL(ld_global_i32, std::int32_t, r[d->d].set_i(v))
-  T2_LD_GLOBAL(ld_global_i64, std::int64_t, r[d->d].set_i(v))
-  T2_LD_GLOBAL(ld_global_u8, std::uint8_t, r[d->d].bits = v)
-  T2_ST_GLOBAL(st_global_f32, float, r[d->b].f32())
-  T2_ST_GLOBAL(st_global_f64, double, r[d->b].f64())
-  T2_ST_GLOBAL(st_global_i32, std::int32_t, static_cast<std::int32_t>(r[d->b].i()))
-  T2_ST_GLOBAL(st_global_i64, std::int64_t, r[d->b].i())
-  T2_ST_GLOBAL(st_global_u8, std::uint8_t, static_cast<std::uint8_t>(r[d->b].bits))
-
-  // --- shared memory ---------------------------------------------------------
-#define T2_LD_SHARED(name, type, assign)                                     \
-  T2_CASE(name) {                                                            \
-    T2_TICK();                                                               \
-    const std::uint64_t addr = T2_GADDR(d->a, d->imm);                       \
-    if (addr + sizeof(type) > m.shared_size || addr + sizeof(type) < addr)   \
-        [[unlikely]] throw_shared_oob(m);                                    \
-    type v;                                                                  \
-    std::memcpy(&v, m.shared + addr, sizeof(type));                          \
-    assign;                                                                  \
-    T2_NEXT();                                                               \
-  }
-#define T2_ST_SHARED(name, type, value)                                      \
-  T2_CASE(name) {                                                            \
-    T2_TICK();                                                               \
-    const std::uint64_t addr = T2_GADDR(d->a, d->imm);                       \
-    if (addr + sizeof(type) > m.shared_size || addr + sizeof(type) < addr)   \
-        [[unlikely]] throw_shared_oob(m);                                    \
-    const type v = (value);                                                  \
-    std::memcpy(m.shared + addr, &v, sizeof(type));                          \
-    T2_NEXT();                                                               \
-  }
-
-  T2_LD_SHARED(ld_shared_f32, float, r[d->d].set_f32(v))
-  T2_LD_SHARED(ld_shared_f64, double, r[d->d].set_f64(v))
-  T2_LD_SHARED(ld_shared_i64, std::int64_t, r[d->d].set_i(v))
-  T2_ST_SHARED(st_shared_f32, float, r[d->b].f32())
-  T2_ST_SHARED(st_shared_f64, double, r[d->b].f64())
-  T2_ST_SHARED(st_shared_i64, std::int64_t, r[d->b].i())
-
   // --- fused superinstructions ----------------------------------------------
-  // Each fused handler is its constituent Tier-1 bodies back to back, each
-  // behind its own budget tick; `2`-suffixed operands belong to the second
-  // micro-op.
-  T2_CASE(mul_add_i) {
-    T2_TICK();
-    r[d->d].bits = r[d->a].bits * r[d->b].bits;
-    T2_TICK();
-    r[d->d2].bits = r[d->a2].bits + r[d->b2].bits;
-    T2_NEXT();
+  // The constituent bodies back to back, each behind its own budget tick;
+  // the second micro-op takes the `2`-suffixed operands (it has no src2).
+#define SIGVP_T2_FUSED(name, X, Y)                                   \
+  T2_CASE(name) {                                                    \
+    static_assert(op_traits(Opcode::Y).shape != OpShape::kTern);     \
+    T2_TICK();                                                       \
+    T2_FIRST(X);                                                     \
+    T2_TICK();                                                       \
+    T2_SECOND(Y);                                                    \
+    T2_NEXT();                                                       \
   }
-  T2_CASE(shl_add_i) {
-    T2_TICK();
-    r[d->d].bits = r[d->a].bits << (r[d->b].bits & 63);
-    T2_TICK();
-    r[d->d2].bits = r[d->a2].bits + r[d->b2].bits;
-    T2_NEXT();
+#define SIGVP_T2_FUSED_BRANCH(name, X, Y) \
+  T2_CASE(name) {                         \
+    T2_TICK();                            \
+    T2_FIRST(X);                          \
+    T2_TICK();                            \
+    T2_FLOW_##Y(d->a2);                   \
   }
-  T2_CASE(add_add_i) {
-    T2_TICK();
-    r[d->d].bits = r[d->a].bits + r[d->b].bits;
-    T2_TICK();
-    r[d->d2].bits = r[d->a2].bits + r[d->b2].bits;
-    T2_NEXT();
-  }
-  T2_CASE(add_i_jmp) {
-    T2_TICK();
-    r[d->d].bits = r[d->a].bits + r[d->b].bits;
-    T2_TICK();
-    T2_TAKE(d->target_pc, d->target_block);
-  }
-#define T2_SET_BRA(name, cmp, taken_when_false)                         \
-  T2_CASE(name) {                                                       \
-    T2_TICK();                                                          \
-    r[d->d].set_i(r[d->a].i() cmp r[d->b].i());                         \
-    T2_TICK();                                                          \
-    if (r[d->a2].truthy() != (taken_when_false))                        \
-      T2_TAKE(d->target_pc, d->target_block);                           \
-    if (d->fall_pc == kInvalidPc) [[unlikely]] throw_bad_fallthrough(m);\
-    T2_TAKE(d->fall_pc, d->fall_block);                                 \
-  }
-  // bra_z takes when the predicate is false; bra_nz when it is true.
-  T2_SET_BRA(set_lt_i_bra_z, <, true)
-  T2_SET_BRA(set_lt_i_bra_nz, <, false)
-  T2_SET_BRA(set_ge_i_bra_z, >=, true)
-  T2_SET_BRA(set_ge_i_bra_nz, >=, false)
-#undef T2_SET_BRA
-  T2_CASE(ld_ld_f32) {
-    T2_TICK();
-    {
-      const std::uint64_t addr = T2_GADDR(d->a, d->imm);
-      if (m.hook) (*m.hook)(addr, 4, false);
-      r[d->d].set_f32(m.global->read<float>(addr));
-    }
-    T2_TICK();
-    {
-      const std::uint64_t addr = T2_GADDR(d->a2, d->imm2);
-      if (m.hook) (*m.hook)(addr, 4, false);
-      r[d->d2].set_f32(m.global->read<float>(addr));
-    }
-    T2_NEXT();
-  }
-#define T2_LD_ARITH(name, op)                                   \
-  T2_CASE(name) {                                               \
-    T2_TICK();                                                  \
-    const std::uint64_t addr = T2_GADDR(d->a, d->imm);          \
-    if (m.hook) (*m.hook)(addr, 4, false);                      \
-    r[d->d].set_f32(m.global->read<float>(addr));               \
-    T2_TICK();                                                  \
-    r[d->d2].set_f32(r[d->a2].f32() op r[d->b2].f32());         \
-    T2_NEXT();                                                  \
-  }
-  T2_LD_ARITH(ld_add_f32, +)
-  T2_LD_ARITH(ld_mul_f32, *)
-  T2_LD_ARITH(ld_sub_f32, -)
-#undef T2_LD_ARITH
-#define T2_ARITH_ST(name, op)                                   \
-  T2_CASE(name) {                                               \
-    T2_TICK();                                                  \
-    r[d->d].set_f32(r[d->a].f32() op r[d->b].f32());            \
-    T2_TICK();                                                  \
-    const std::uint64_t addr = T2_GADDR(d->a2, d->imm2);        \
-    if (m.hook) (*m.hook)(addr, 4, true);                       \
-    m.global->write<float>(addr, r[d->b2].f32());               \
-    T2_NEXT();                                                  \
-  }
-  T2_ARITH_ST(add_st_f32, +)
-  T2_ARITH_ST(mul_st_f32, *)
-  T2_ARITH_ST(sub_st_f32, -)
-#undef T2_ARITH_ST
-  T2_CASE(fma_st_f32) {
-    T2_TICK();
-    r[d->d].set_f32(std::fma(r[d->a].f32(), r[d->b].f32(), r[d->c].f32()));
-    T2_TICK();
-    const std::uint64_t addr = T2_GADDR(d->a2, d->imm2);
-    if (m.hook) (*m.hook)(addr, 4, true);
-    m.global->write<float>(addr, r[d->b2].f32());
-    T2_NEXT();
-  }
-  T2_CASE(mul_add_f32) {
-    // Two separate roundings through set_f32's bit_cast — never an fma.
-    T2_TICK();
-    r[d->d].set_f32(r[d->a].f32() * r[d->b].f32());
-    T2_TICK();
-    r[d->d2].set_f32(r[d->a2].f32() + r[d->b2].f32());
-    T2_NEXT();
-  }
+  SIGVP_FUSED_OPS(SIGVP_T2_FUSED)
+  SIGVP_FUSED_BRANCH_OPS(SIGVP_T2_FUSED_BRANCH)
 
   T2_END()
 
-#undef T2_LD_GLOBAL
-#undef T2_ST_GLOBAL
-#undef T2_LD_SHARED
-#undef T2_ST_SHARED
-#undef T2_SIMPLE
-#undef T2_GADDR
+#undef SIGVP_T2_FUSED
+#undef SIGVP_T2_FUSED_BRANCH
+#undef T2_FIRST
+#undef T2_SECOND
+#undef T2_FLOW_kJmp
+#undef T2_FLOW_kBraZ
+#undef T2_FLOW_kBraNZ
+#undef T2_BRANCH
 #undef T2_TAKE
 #undef T2_NEXT
 #undef T2_TICK
@@ -602,21 +227,10 @@ void run_tier2_block(const Tier2Program& prog2, const KernelIR& ir, const Launch
   arena.threads.resize(nthreads);
   arena.slab.assign(static_cast<std::size_t>(prog2.num_regs) << prog2.stride_shift,
                     RegValue{});
-  arena.shared.assign(ir.shared_bytes, 0);
-
   T2Ctx m;
+  static_cast<BlockCtx&>(m) =
+      block_ctx(ir, dims, args, global, hook, profile, arena.shared, ctaid_x, ctaid_y);
   m.code = prog2.code.data();
-  m.dims = dims;
-  m.argv = args.values.data();
-  m.argc = args.values.size();
-  m.global = &global;
-  m.hook = hook;
-  m.block_visits = profile.block_visits.data();
-  m.shared = arena.shared.data();
-  m.shared_size = arena.shared.size();
-  m.ctaid_x = ctaid_x;
-  m.ctaid_y = ctaid_y;
-  m.ir = &ir;
   m.slab = arena.slab.data();
 
   for (std::uint32_t ty = 0; ty < dims.block_y; ++ty) {

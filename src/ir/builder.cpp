@@ -46,15 +46,6 @@ void KernelBuilder::emit(Instr instr) {
   b.instrs.push_back(instr);
 }
 
-void KernelBuilder::emit_load(Opcode op, Reg dst, Reg addr, std::int64_t offset) {
-  emit(Instr{op, dst, addr, 0, 0, offset, 0.0});
-}
-
-void KernelBuilder::emit_store(Opcode op, Reg value, Reg addr, std::int64_t offset) {
-  // Stores carry the value register in src1 and the address in src0.
-  emit(Instr{op, 0, addr, value, 0, offset, 0.0});
-}
-
 void KernelBuilder::mov_imm_i(Reg dst, std::int64_t value) {
   emit(Instr{Opcode::kMovImmI, dst, 0, 0, 0, value, 0.0});
 }
@@ -64,7 +55,6 @@ void KernelBuilder::mov_imm_f32(Reg dst, float value) {
 void KernelBuilder::mov_imm_f64(Reg dst, double value) {
   emit(Instr{Opcode::kMovImmF64, dst, 0, 0, 0, 0, value});
 }
-void KernelBuilder::mov(Reg dst, Reg src) { emit(Instr{Opcode::kMov, dst, src, 0, 0, 0, 0.0}); }
 void KernelBuilder::special(Reg dst, SpecialReg sr) {
   emit(Instr{Opcode::kReadSpecial, dst, 0, 0, 0, static_cast<std::int64_t>(sr), 0.0});
 }
@@ -72,169 +62,47 @@ void KernelBuilder::ld_param(Reg dst, std::uint32_t param_index) {
   SIGVP_REQUIRE(param_index < ir_.num_params, "parameter index out of range");
   emit(Instr{Opcode::kLdParam, dst, 0, 0, 0, static_cast<std::int64_t>(param_index), 0.0});
 }
-void KernelBuilder::select(Reg dst, Reg cond, Reg if_true, Reg if_false) {
-  emit(Instr{Opcode::kSelect, dst, cond, if_true, if_false, 0, 0.0});
-}
 
-#define SIGVP_BIN(fn, opcode)                                            \
-  void KernelBuilder::fn(Reg dst, Reg a, Reg b) {                        \
-    emit(Instr{Opcode::opcode, dst, a, b, 0, 0, 0.0});                   \
+#define SIGVP_ALU(E, id, text, cls, shape, ...) SIGVP_BUILDER_##shape(E, id)
+#define SIGVP_BUILDER_Imm(E, id)
+#define SIGVP_BUILDER_Fimm(E, id)
+#define SIGVP_BUILDER_Un(E, id) \
+  void KernelBuilder::id(Reg dst, Reg a) { emit(Instr{Opcode::E, dst, a, 0, 0, 0, 0.0}); }
+#define SIGVP_BUILDER_Bin(E, id) \
+  void KernelBuilder::id(Reg dst, Reg a, Reg b) { emit(Instr{Opcode::E, dst, a, b, 0, 0, 0.0}); }
+#define SIGVP_BUILDER_Tern(E, id)                        \
+  void KernelBuilder::id(Reg dst, Reg a, Reg b, Reg c) { \
+    emit(Instr{Opcode::E, dst, a, b, c, 0, 0.0});        \
   }
-#define SIGVP_UN(fn, opcode)                                             \
-  void KernelBuilder::fn(Reg dst, Reg a) {                               \
-    emit(Instr{Opcode::opcode, dst, a, 0, 0, 0, 0.0});                   \
+// Loads write dst; stores and atomics carry the value register in src1.
+#define SIGVP_MEM(E, id, text, cls, ...)                                       \
+  void KernelBuilder::id(Reg reg, Reg addr, std::int64_t offset) {             \
+    if (InstrClass::k##cls == InstrClass::kLoad) {                             \
+      emit(Instr{Opcode::E, reg, addr, 0, 0, offset, 0.0});                    \
+    } else {                                                                   \
+      emit(Instr{Opcode::E, 0, addr, reg, 0, offset, 0.0});                    \
+    }                                                                          \
   }
+#include "ir/ops.def"
+#undef SIGVP_BUILDER_Imm
+#undef SIGVP_BUILDER_Fimm
+#undef SIGVP_BUILDER_Un
+#undef SIGVP_BUILDER_Bin
+#undef SIGVP_BUILDER_Tern
 
-SIGVP_BIN(add_i, kAddI)
-SIGVP_BIN(sub_i, kSubI)
-SIGVP_BIN(mul_i, kMulI)
-SIGVP_BIN(div_i, kDivI)
-SIGVP_BIN(rem_i, kRemI)
-SIGVP_BIN(min_i, kMinI)
-SIGVP_BIN(max_i, kMaxI)
-SIGVP_UN(neg_i, kNegI)
-SIGVP_UN(abs_i, kAbsI)
-SIGVP_BIN(set_lt_i, kSetLtI)
-SIGVP_BIN(set_le_i, kSetLeI)
-SIGVP_BIN(set_eq_i, kSetEqI)
-SIGVP_BIN(set_ne_i, kSetNeI)
-SIGVP_BIN(set_gt_i, kSetGtI)
-SIGVP_BIN(set_ge_i, kSetGeI)
-SIGVP_UN(cvt_f32_to_i, kCvtF32ToI)
-SIGVP_UN(cvt_f64_to_i, kCvtF64ToI)
-
-SIGVP_BIN(and_b, kAndB)
-SIGVP_BIN(or_b, kOrB)
-SIGVP_BIN(xor_b, kXorB)
-SIGVP_UN(not_b, kNotB)
-SIGVP_BIN(shl_b, kShlB)
-SIGVP_BIN(shr_b, kShrB)
-SIGVP_BIN(shr_a, kShrA)
-
-SIGVP_BIN(add_f32, kAddF32)
-SIGVP_BIN(sub_f32, kSubF32)
-SIGVP_BIN(mul_f32, kMulF32)
-SIGVP_BIN(div_f32, kDivF32)
-SIGVP_UN(sqrt_f32, kSqrtF32)
-SIGVP_UN(rsqrt_f32, kRsqrtF32)
-SIGVP_UN(exp_f32, kExpF32)
-SIGVP_UN(log_f32, kLogF32)
-SIGVP_UN(sin_f32, kSinF32)
-SIGVP_UN(cos_f32, kCosF32)
-SIGVP_BIN(min_f32, kMinF32)
-SIGVP_BIN(max_f32, kMaxF32)
-SIGVP_UN(abs_f32, kAbsF32)
-SIGVP_UN(neg_f32, kNegF32)
-SIGVP_UN(floor_f32, kFloorF32)
-SIGVP_BIN(set_lt_f32, kSetLtF32)
-SIGVP_BIN(set_le_f32, kSetLeF32)
-SIGVP_BIN(set_eq_f32, kSetEqF32)
-SIGVP_BIN(set_gt_f32, kSetGtF32)
-SIGVP_BIN(set_ge_f32, kSetGeF32)
-SIGVP_UN(cvt_i_to_f32, kCvtIToF32)
-SIGVP_UN(cvt_f64_to_f32, kCvtF64ToF32)
-
-SIGVP_BIN(add_f64, kAddF64)
-SIGVP_BIN(sub_f64, kSubF64)
-SIGVP_BIN(mul_f64, kMulF64)
-SIGVP_BIN(div_f64, kDivF64)
-SIGVP_UN(sqrt_f64, kSqrtF64)
-SIGVP_UN(exp_f64, kExpF64)
-SIGVP_UN(log_f64, kLogF64)
-SIGVP_UN(sin_f64, kSinF64)
-SIGVP_UN(cos_f64, kCosF64)
-SIGVP_BIN(min_f64, kMinF64)
-SIGVP_BIN(max_f64, kMaxF64)
-SIGVP_UN(abs_f64, kAbsF64)
-SIGVP_UN(neg_f64, kNegF64)
-SIGVP_UN(floor_f64, kFloorF64)
-SIGVP_BIN(set_lt_f64, kSetLtF64)
-SIGVP_BIN(set_le_f64, kSetLeF64)
-SIGVP_BIN(set_eq_f64, kSetEqF64)
-SIGVP_BIN(set_gt_f64, kSetGtF64)
-SIGVP_BIN(set_ge_f64, kSetGeF64)
-SIGVP_UN(cvt_i_to_f64, kCvtIToF64)
-SIGVP_UN(cvt_f32_to_f64, kCvtF32ToF64)
-
-#undef SIGVP_BIN
-#undef SIGVP_UN
-
-void KernelBuilder::fma_f32(Reg dst, Reg a, Reg b, Reg c) {
-  emit(Instr{Opcode::kFmaF32, dst, a, b, c, 0, 0.0});
-}
-void KernelBuilder::fma_f64(Reg dst, Reg a, Reg b, Reg c) {
-  emit(Instr{Opcode::kFmaF64, dst, a, b, c, 0, 0.0});
-}
-
-void KernelBuilder::jmp(const std::string& label) {
+void KernelBuilder::emit_branch(Opcode op, Reg cond, const std::string& label) {
   pending_.push_back({ir_.blocks.size() - 1, current().instrs.size(), label});
-  emit(Instr{Opcode::kJmp, 0, 0, 0, 0, -1, 0.0});
+  emit(Instr{op, 0, cond, 0, 0, -1, 0.0});
 }
+void KernelBuilder::jmp(const std::string& label) { emit_branch(Opcode::kJmp, 0, label); }
 void KernelBuilder::bra_z(Reg cond, const std::string& label) {
-  pending_.push_back({ir_.blocks.size() - 1, current().instrs.size(), label});
-  emit(Instr{Opcode::kBraZ, 0, cond, 0, 0, -1, 0.0});
+  emit_branch(Opcode::kBraZ, cond, label);
 }
 void KernelBuilder::bra_nz(Reg cond, const std::string& label) {
-  pending_.push_back({ir_.blocks.size() - 1, current().instrs.size(), label});
-  emit(Instr{Opcode::kBraNZ, 0, cond, 0, 0, -1, 0.0});
+  emit_branch(Opcode::kBraNZ, cond, label);
 }
 void KernelBuilder::ret() { emit(Instr{Opcode::kRet, 0, 0, 0, 0, 0, 0.0}); }
 void KernelBuilder::bar() { emit(Instr{Opcode::kBar, 0, 0, 0, 0, 0, 0.0}); }
-
-void KernelBuilder::ld_global_f32(Reg dst, Reg addr, std::int64_t offset) {
-  emit_load(Opcode::kLdGlobalF32, dst, addr, offset);
-}
-void KernelBuilder::ld_global_f64(Reg dst, Reg addr, std::int64_t offset) {
-  emit_load(Opcode::kLdGlobalF64, dst, addr, offset);
-}
-void KernelBuilder::ld_global_i32(Reg dst, Reg addr, std::int64_t offset) {
-  emit_load(Opcode::kLdGlobalI32, dst, addr, offset);
-}
-void KernelBuilder::ld_global_i64(Reg dst, Reg addr, std::int64_t offset) {
-  emit_load(Opcode::kLdGlobalI64, dst, addr, offset);
-}
-void KernelBuilder::ld_global_u8(Reg dst, Reg addr, std::int64_t offset) {
-  emit_load(Opcode::kLdGlobalU8, dst, addr, offset);
-}
-void KernelBuilder::st_global_f32(Reg value, Reg addr, std::int64_t offset) {
-  emit_store(Opcode::kStGlobalF32, value, addr, offset);
-}
-void KernelBuilder::st_global_f64(Reg value, Reg addr, std::int64_t offset) {
-  emit_store(Opcode::kStGlobalF64, value, addr, offset);
-}
-void KernelBuilder::st_global_i32(Reg value, Reg addr, std::int64_t offset) {
-  emit_store(Opcode::kStGlobalI32, value, addr, offset);
-}
-void KernelBuilder::st_global_i64(Reg value, Reg addr, std::int64_t offset) {
-  emit_store(Opcode::kStGlobalI64, value, addr, offset);
-}
-void KernelBuilder::st_global_u8(Reg value, Reg addr, std::int64_t offset) {
-  emit_store(Opcode::kStGlobalU8, value, addr, offset);
-}
-void KernelBuilder::atom_add_global_i64(Reg value, Reg addr, std::int64_t offset) {
-  emit_store(Opcode::kAtomAddGlobalI64, value, addr, offset);
-}
-void KernelBuilder::atom_add_global_f32(Reg value, Reg addr, std::int64_t offset) {
-  emit_store(Opcode::kAtomAddGlobalF32, value, addr, offset);
-}
-void KernelBuilder::ld_shared_f32(Reg dst, Reg addr, std::int64_t offset) {
-  emit_load(Opcode::kLdSharedF32, dst, addr, offset);
-}
-void KernelBuilder::ld_shared_f64(Reg dst, Reg addr, std::int64_t offset) {
-  emit_load(Opcode::kLdSharedF64, dst, addr, offset);
-}
-void KernelBuilder::ld_shared_i64(Reg dst, Reg addr, std::int64_t offset) {
-  emit_load(Opcode::kLdSharedI64, dst, addr, offset);
-}
-void KernelBuilder::st_shared_f32(Reg value, Reg addr, std::int64_t offset) {
-  emit_store(Opcode::kStSharedF32, value, addr, offset);
-}
-void KernelBuilder::st_shared_f64(Reg value, Reg addr, std::int64_t offset) {
-  emit_store(Opcode::kStSharedF64, value, addr, offset);
-}
-void KernelBuilder::st_shared_i64(Reg value, Reg addr, std::int64_t offset) {
-  emit_store(Opcode::kStSharedI64, value, addr, offset);
-}
 
 void KernelBuilder::addr_of(Reg dst, Reg base, Reg index, int log2_elem_size) {
   SIGVP_REQUIRE(log2_elem_size >= 0 && log2_elem_size <= 4, "element size must be 1..16 bytes");

@@ -43,87 +43,27 @@ class KernelBuilder {
   void mov_imm_i(Reg dst, std::int64_t value);
   void mov_imm_f32(Reg dst, float value);
   void mov_imm_f64(Reg dst, double value);
-  void mov(Reg dst, Reg src);
   void special(Reg dst, SpecialReg sr);
   void ld_param(Reg dst, std::uint32_t param_index);
-  void select(Reg dst, Reg cond, Reg if_true, Reg if_false);
 
-  // --- integer -------------------------------------------------------------
-  void add_i(Reg dst, Reg a, Reg b);
-  void sub_i(Reg dst, Reg a, Reg b);
-  void mul_i(Reg dst, Reg a, Reg b);
-  void div_i(Reg dst, Reg a, Reg b);
-  void rem_i(Reg dst, Reg a, Reg b);
-  void min_i(Reg dst, Reg a, Reg b);
-  void max_i(Reg dst, Reg a, Reg b);
-  void neg_i(Reg dst, Reg a);
-  void abs_i(Reg dst, Reg a);
-  void set_lt_i(Reg dst, Reg a, Reg b);
-  void set_le_i(Reg dst, Reg a, Reg b);
-  void set_eq_i(Reg dst, Reg a, Reg b);
-  void set_ne_i(Reg dst, Reg a, Reg b);
-  void set_gt_i(Reg dst, Reg a, Reg b);
-  void set_ge_i(Reg dst, Reg a, Reg b);
-  void cvt_f32_to_i(Reg dst, Reg a);
-  void cvt_f64_to_i(Reg dst, Reg a);
-
-  // --- bit -----------------------------------------------------------------
-  void and_b(Reg dst, Reg a, Reg b);
-  void or_b(Reg dst, Reg a, Reg b);
-  void xor_b(Reg dst, Reg a, Reg b);
-  void not_b(Reg dst, Reg a);
-  void shl_b(Reg dst, Reg a, Reg b);
-  void shr_b(Reg dst, Reg a, Reg b);
-  void shr_a(Reg dst, Reg a, Reg b);
-
-  // --- fp32 ----------------------------------------------------------------
-  void add_f32(Reg dst, Reg a, Reg b);
-  void sub_f32(Reg dst, Reg a, Reg b);
-  void mul_f32(Reg dst, Reg a, Reg b);
-  void div_f32(Reg dst, Reg a, Reg b);
-  void fma_f32(Reg dst, Reg a, Reg b, Reg c);  // dst = a*b + c
-  void sqrt_f32(Reg dst, Reg a);
-  void rsqrt_f32(Reg dst, Reg a);
-  void exp_f32(Reg dst, Reg a);
-  void log_f32(Reg dst, Reg a);
-  void sin_f32(Reg dst, Reg a);
-  void cos_f32(Reg dst, Reg a);
-  void min_f32(Reg dst, Reg a, Reg b);
-  void max_f32(Reg dst, Reg a, Reg b);
-  void abs_f32(Reg dst, Reg a);
-  void neg_f32(Reg dst, Reg a);
-  void floor_f32(Reg dst, Reg a);
-  void set_lt_f32(Reg dst, Reg a, Reg b);
-  void set_le_f32(Reg dst, Reg a, Reg b);
-  void set_eq_f32(Reg dst, Reg a, Reg b);
-  void set_gt_f32(Reg dst, Reg a, Reg b);
-  void set_ge_f32(Reg dst, Reg a, Reg b);
-  void cvt_i_to_f32(Reg dst, Reg a);
-  void cvt_f64_to_f32(Reg dst, Reg a);
-
-  // --- fp64 ----------------------------------------------------------------
-  void add_f64(Reg dst, Reg a, Reg b);
-  void sub_f64(Reg dst, Reg a, Reg b);
-  void mul_f64(Reg dst, Reg a, Reg b);
-  void div_f64(Reg dst, Reg a, Reg b);
-  void fma_f64(Reg dst, Reg a, Reg b, Reg c);
-  void sqrt_f64(Reg dst, Reg a);
-  void exp_f64(Reg dst, Reg a);
-  void log_f64(Reg dst, Reg a);
-  void sin_f64(Reg dst, Reg a);
-  void cos_f64(Reg dst, Reg a);
-  void min_f64(Reg dst, Reg a, Reg b);
-  void max_f64(Reg dst, Reg a, Reg b);
-  void abs_f64(Reg dst, Reg a);
-  void neg_f64(Reg dst, Reg a);
-  void floor_f64(Reg dst, Reg a);
-  void set_lt_f64(Reg dst, Reg a, Reg b);
-  void set_le_f64(Reg dst, Reg a, Reg b);
-  void set_eq_f64(Reg dst, Reg a, Reg b);
-  void set_gt_f64(Reg dst, Reg a, Reg b);
-  void set_ge_f64(Reg dst, Reg a, Reg b);
-  void cvt_i_to_f64(Reg dst, Reg a);
-  void cvt_f32_to_f64(Reg dst, Reg a);
+  // --- register ops and memory accesses: one method per ops.def row ---------
+  // Named by the row's id. Register ops take (dst, a), (dst, a, b) or
+  // (dst, a, b, c) by shape: fma is a*b + c, select is a ? b : c. Loads take
+  // (dst, addr, offset), stores and atomics (value, addr, offset); the byte
+  // address is regs[addr] + offset.
+#define SIGVP_ALU(E, id, text, cls, shape, ...) SIGVP_BUILDER_##shape(id)
+#define SIGVP_BUILDER_Imm(id)
+#define SIGVP_BUILDER_Fimm(id)
+#define SIGVP_BUILDER_Un(id) void id(Reg dst, Reg a);
+#define SIGVP_BUILDER_Bin(id) void id(Reg dst, Reg a, Reg b);
+#define SIGVP_BUILDER_Tern(id) void id(Reg dst, Reg a, Reg b, Reg c);
+#define SIGVP_MEM(E, id, ...) void id(Reg reg, Reg addr, std::int64_t offset = 0);
+#include "ir/ops.def"
+#undef SIGVP_BUILDER_Imm
+#undef SIGVP_BUILDER_Fimm
+#undef SIGVP_BUILDER_Un
+#undef SIGVP_BUILDER_Bin
+#undef SIGVP_BUILDER_Tern
 
   // --- control flow --------------------------------------------------------
   void jmp(const std::string& label);
@@ -131,26 +71,6 @@ class KernelBuilder {
   void bra_nz(Reg cond, const std::string& label);
   void ret();
   void bar();
-
-  // --- memory (byte address = regs[addr] + offset) --------------------------
-  void ld_global_f32(Reg dst, Reg addr, std::int64_t offset = 0);
-  void ld_global_f64(Reg dst, Reg addr, std::int64_t offset = 0);
-  void ld_global_i32(Reg dst, Reg addr, std::int64_t offset = 0);
-  void ld_global_i64(Reg dst, Reg addr, std::int64_t offset = 0);
-  void ld_global_u8(Reg dst, Reg addr, std::int64_t offset = 0);
-  void st_global_f32(Reg value, Reg addr, std::int64_t offset = 0);
-  void st_global_f64(Reg value, Reg addr, std::int64_t offset = 0);
-  void st_global_i32(Reg value, Reg addr, std::int64_t offset = 0);
-  void st_global_i64(Reg value, Reg addr, std::int64_t offset = 0);
-  void st_global_u8(Reg value, Reg addr, std::int64_t offset = 0);
-  void atom_add_global_i64(Reg value, Reg addr, std::int64_t offset = 0);
-  void atom_add_global_f32(Reg value, Reg addr, std::int64_t offset = 0);
-  void ld_shared_f32(Reg dst, Reg addr, std::int64_t offset = 0);
-  void ld_shared_f64(Reg dst, Reg addr, std::int64_t offset = 0);
-  void ld_shared_i64(Reg dst, Reg addr, std::int64_t offset = 0);
-  void st_shared_f32(Reg value, Reg addr, std::int64_t offset = 0);
-  void st_shared_f64(Reg value, Reg addr, std::int64_t offset = 0);
-  void st_shared_i64(Reg value, Reg addr, std::int64_t offset = 0);
 
   // --- composites ----------------------------------------------------------
 
@@ -186,8 +106,7 @@ class KernelBuilder {
 
   BasicBlock& current();
   void emit(Instr instr);
-  void emit_store(Opcode op, Reg value, Reg addr, std::int64_t offset);
-  void emit_load(Opcode op, Reg dst, Reg addr, std::int64_t offset);
+  void emit_branch(Opcode op, Reg cond, const std::string& label);
 
   KernelIR ir_;
   std::map<std::string, std::size_t> label_to_block_;

@@ -9,46 +9,40 @@ std::string disassemble(const Instr& in) {
   os << opcode_name(in.op);
   auto r = [](std::uint8_t reg) { return "%r" + std::to_string(reg); };
 
-  switch (in.op) {
-    case Opcode::kNop:
-    case Opcode::kRet:
-    case Opcode::kBar:
+  switch (op_traits(in.op).shape) {
+    case OpShape::kNone:
       break;
-    case Opcode::kMovImmI:
+    case OpShape::kImm:
       os << " " << r(in.dst) << ", " << in.imm;
       break;
-    case Opcode::kMovImmF32:
-    case Opcode::kMovImmF64:
+    case OpShape::kFimm:
       os << " " << r(in.dst) << ", " << in.fimm;
       break;
-    case Opcode::kReadSpecial:
+    case OpShape::kSpecial:
       os << " " << r(in.dst) << ", " << special_reg_name(static_cast<SpecialReg>(in.imm));
       break;
-    case Opcode::kLdParam:
+    case OpShape::kParam:
       os << " " << r(in.dst) << ", [param " << in.imm << "]";
       break;
-    case Opcode::kJmp:
+    case OpShape::kJump:
       os << " @" << in.imm;
       break;
-    case Opcode::kBraZ:
-    case Opcode::kBraNZ:
+    case OpShape::kCondJump:
       os << " " << r(in.src0) << ", @" << in.imm;
       break;
-    case Opcode::kSelect:
-    case Opcode::kFmaF32:
-    case Opcode::kFmaF64:
+    case OpShape::kTern:
       os << " " << r(in.dst) << ", " << r(in.src0) << ", " << r(in.src1) << ", " << r(in.src2);
       break;
-    default:
-      if (is_memory_op(in.op)) {
-        if (instr_class(in.op) == InstrClass::kLoad) {
-          os << " " << r(in.dst) << ", [" << r(in.src0) << "+" << in.imm << "]";
-        } else {
-          os << " [" << r(in.src0) << "+" << in.imm << "], " << r(in.src1);
-        }
+    case OpShape::kMem:
+      if (instr_class(in.op) == InstrClass::kLoad) {
+        os << " " << r(in.dst) << ", [" << r(in.src0) << "+" << in.imm << "]";
       } else {
-        os << " " << r(in.dst) << ", " << r(in.src0) << ", " << r(in.src1);
+        os << " [" << r(in.src0) << "+" << in.imm << "], " << r(in.src1);
       }
+      break;
+    case OpShape::kUn:
+    case OpShape::kBin:
+      os << " " << r(in.dst) << ", " << r(in.src0) << ", " << r(in.src1);
       break;
   }
   return os.str();

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <string_view>
 
@@ -7,58 +8,53 @@
 
 namespace sigvp {
 
-/// PTX-like opcode set of the kernel IR.
+/// Trait bits of an op-table row (ir/ops.def).
+enum OpFlag : std::uint16_t {
+  kOpTerminator = 1u << 0,  ///< ends a basic block (bra, bra.z, bra.nz, ret)
+  kOpTarget = 1u << 1,      ///< carries a block target in imm
+  kOpSfu = 1u << 2,         ///< runs on SFU hardware (sqrt, rsqrt, exp, log, sin, cos)
+  kOpSqrt = 1u << 3,        ///< the SFU subset CPUs have instructions for (sqrt, rsqrt)
+  kOpGlobal = 1u << 4,      ///< global-memory access (loads, stores, atomics)
+  kOpShared = 1u << 5,      ///< shared-memory access
+  kOpAtomic = 1u << 6,      ///< global read-modify-write
+  kOpBarrier = 1u << 7,     ///< bar.sync
+  /// May run in Tier 2's lane-lockstep vector prologue: a pure register op
+  /// (no memory, hooks, λ or control flow). div/rem stay out because their
+  /// zero-divisor trap would need per-lane unwind ordering.
+  kOpVec = 1u << 8,
+  kOpTrapZero = 1u << 9,  ///< a zero divisor (src1) raises an error
+};
+
+/// Operand layout of an op (what dst/src0/src1/src2/imm/fimm mean).
+enum class OpShape : std::uint8_t {
+  kNone,      // no operands
+  kImm,       // dst <- imm
+  kFimm,      // dst <- fimm
+  kSpecial,   // dst <- special register (imm = SpecialReg)
+  kParam,     // dst <- kernel parameter (imm = param index)
+  kUn,        // dst <- f(src0)
+  kBin,       // dst <- f(src0, src1)
+  kTern,      // dst <- f(src0, src1, src2)
+  kMem,       // address regs[src0] + imm; loads write dst, stores read src1
+  kJump,      // goto block imm
+  kCondJump,  // branch on src0 to block imm, else fall through
+};
+
+/// PTX-like opcode set of the kernel IR, one enumerator per ops.def row.
 ///
 /// The set intentionally mirrors what the paper's profiler distinguishes:
 /// FP32/FP64 arithmetic (including the transcendental ops CUDA maps onto the
 /// SFU), integer and bit ops used for address math, control flow, and
 /// global/shared memory accesses.
 enum class Opcode : std::uint8_t {
-  kNop = 0,
-
-  // Data movement (classified as Int: register moves issue on the ALU).
-  kMovImmI,   // dst <- imm (i64)
-  kMovImmF32, // dst <- fimm (f32)
-  kMovImmF64, // dst <- fimm (f64)
-  kMov,       // dst <- src0
-  kReadSpecial,  // dst <- special register (imm = SpecialReg)
-  kLdParam,      // dst <- kernel parameter (imm = param index)
-  kSelect,       // dst <- src0 ? src1 : src2
-
-  // Integer arithmetic.
-  kAddI, kSubI, kMulI, kDivI, kRemI, kMinI, kMaxI, kNegI, kAbsI,
-  kSetLtI, kSetLeI, kSetEqI, kSetNeI, kSetGtI, kSetGeI,
-  kCvtF32ToI, kCvtF64ToI,
-
-  // Bit manipulation.
-  kAndB, kOrB, kXorB, kNotB, kShlB, kShrB, kShrA,
-
-  // FP32 arithmetic (kCvtIToF32/kCvtF64ToF32 produce an FP32 result).
-  kAddF32, kSubF32, kMulF32, kDivF32, kFmaF32,
-  kSqrtF32, kRsqrtF32, kExpF32, kLogF32, kSinF32, kCosF32,
-  kMinF32, kMaxF32, kAbsF32, kNegF32, kFloorF32,
-  kSetLtF32, kSetLeF32, kSetEqF32, kSetGtF32, kSetGeF32,
-  kCvtIToF32, kCvtF64ToF32,
-
-  // FP64 arithmetic.
-  kAddF64, kSubF64, kMulF64, kDivF64, kFmaF64,
-  kSqrtF64, kExpF64, kLogF64, kSinF64, kCosF64,
-  kMinF64, kMaxF64, kAbsF64, kNegF64, kFloorF64,
-  kSetLtF64, kSetLeF64, kSetEqF64, kSetGtF64, kSetGeF64,
-  kCvtIToF64, kCvtF32ToF64,
-
-  // Control flow (class B). Branch targets are block indices in `imm`.
-  kJmp, kBraZ, kBraNZ, kRet, kBar,
-
-  // Global memory (byte address = regs[src0] + imm).
-  kLdGlobalF32, kLdGlobalF64, kLdGlobalI32, kLdGlobalI64, kLdGlobalU8,
-  kStGlobalF32, kStGlobalF64, kStGlobalI32, kStGlobalI64, kStGlobalU8,
-  kAtomAddGlobalI64, kAtomAddGlobalF32,
-
-  // Shared memory (per-block scratchpad; byte address = regs[src0] + imm).
-  kLdSharedF32, kLdSharedF64, kLdSharedI64,
-  kStSharedF32, kStSharedF64, kStSharedI64,
+#define SIGVP_OP(E, ...) E,
+#include "ir/ops.def"
 };
+
+inline constexpr std::size_t kNumOpcodes = static_cast<std::size_t>(Opcode::kStSharedI64) + 1;
+// Opcode values are hashed into kernel fingerprints, launch-cache keys and
+// snapshots: rows may only be appended.
+static_assert(static_cast<int>(Opcode::kStSharedI64) == 99, "ops.def rows reordered");
 
 /// Built-in per-thread values a kernel can read (CUDA's special registers).
 enum class SpecialReg : std::uint8_t {
@@ -72,32 +68,56 @@ enum class SpecialReg : std::uint8_t {
   kNctaidY,
 };
 
+/// Everything the op table says about one opcode.
+struct OpTraits {
+  std::string_view name;
+  InstrClass cls = InstrClass::kInt;
+  OpShape shape = OpShape::kNone;
+  std::uint16_t flags = 0;
+  std::uint8_t width = 0;  // bytes moved by a memory op, else 0
+};
+
+inline constexpr OpTraits kOpTraits[kNumOpcodes] = {
+#define SIGVP_OP(E, id, text, cls, shape, flags, width) \
+  {text, InstrClass::k##cls, OpShape::k##shape, flags, width},
+#include "ir/ops.def"
+};
+
+/// Traits of `op`; an out-of-range value reads as a nameless Int-class nop.
+constexpr OpTraits op_traits(Opcode op) {
+  const auto i = static_cast<std::size_t>(op);
+  return i < kNumOpcodes ? kOpTraits[i] : OpTraits{"?"};
+}
+
+constexpr bool op_has(Opcode op, std::uint16_t flag) { return (op_traits(op).flags & flag) != 0; }
+
 /// Maps an opcode to the paper's 7 instruction classes.
-InstrClass instr_class(Opcode op);
+constexpr InstrClass instr_class(Opcode op) { return op_traits(op).cls; }
+constexpr std::string_view opcode_name(Opcode op) { return op_traits(op).name; }
 
 /// True for opcodes that terminate a basic block (kJmp/kBraZ/kBraNZ/kRet).
-bool is_terminator(Opcode op);
+constexpr bool is_terminator(Opcode op) { return op_has(op, kOpTerminator); }
 
 /// True for conditional or unconditional jumps carrying a block target.
-bool is_branch_with_target(Opcode op);
+constexpr bool is_branch_with_target(Opcode op) { return op_has(op, kOpTarget); }
 
 /// True for global/shared memory loads or stores (including atomics).
-bool is_memory_op(Opcode op);
-bool is_global_memory_op(Opcode op);
+constexpr bool is_memory_op(Opcode op) { return op_has(op, kOpGlobal | kOpShared); }
+constexpr bool is_global_memory_op(Opcode op) { return op_has(op, kOpGlobal); }
+constexpr bool is_shared_op(Opcode op) { return op_has(op, kOpShared); }
 
 /// True for transcendental/special-function opcodes (sqrt, rsqrt, exp, log,
 /// sin, cos). Real GPUs run these on SFU hardware; software emulators pay a
 /// libm call for each, which is why FP-special-heavy apps emulate so badly.
-bool is_sfu_op(Opcode op);
+constexpr bool is_sfu_op(Opcode op) { return op_has(op, kOpSfu); }
 
 /// Subset of the SFU ops that CPUs handle cheaply in hardware (sqrt/rsqrt
 /// have SSE instructions); the rest (exp/log/sin/cos) are full libm calls.
-bool is_sqrt_op(Opcode op);
+constexpr bool is_sqrt_op(Opcode op) { return op_has(op, kOpSqrt); }
 
 /// Number of bytes moved by a memory opcode (0 for non-memory opcodes).
-std::uint32_t memory_width_bytes(Opcode op);
+constexpr std::uint32_t memory_width_bytes(Opcode op) { return op_traits(op).width; }
 
-std::string_view opcode_name(Opcode op);
 std::string_view special_reg_name(SpecialReg sr);
 
 }  // namespace sigvp

@@ -8,20 +8,6 @@ namespace sigvp {
 
 namespace {
 
-bool is_shared_op(Opcode op) {
-  switch (op) {
-    case Opcode::kLdSharedF32:
-    case Opcode::kLdSharedF64:
-    case Opcode::kLdSharedI64:
-    case Opcode::kStSharedF32:
-    case Opcode::kStSharedF64:
-    case Opcode::kStSharedI64:
-      return true;
-    default:
-      return false;
-  }
-}
-
 void check_regs(const KernelIR& ir, const Instr& in, const std::string& where) {
   const auto nr = ir.num_regs;
   auto check = [&](std::uint8_t r, const char* slot) {

@@ -2,9 +2,11 @@
 
 #include <cmath>
 #include <functional>
+#include <limits>
 #include <ostream>
 
 #include "interp/interpreter.hpp"
+#include "interp/tier2.hpp"
 #include "ir/builder.hpp"
 #include "util/check.hpp"
 
@@ -108,6 +110,8 @@ INSTANTIATE_TEST_SUITE_P(
         IntCase{"mul", &KernelBuilder::mul_i, -7, 5, -35},
         IntCase{"div", &KernelBuilder::div_i, 17, 5, 3},
         IntCase{"rem", &KernelBuilder::rem_i, 17, 5, 2},
+        IntCase{"divneg", &KernelBuilder::div_i, -17, 5, -3},
+        IntCase{"remneg", &KernelBuilder::rem_i, -17, 5, -2},
         IntCase{"min", &KernelBuilder::min_i, -2, 3, -2},
         IntCase{"max", &KernelBuilder::max_i, -2, 3, 3},
         IntCase{"and", &KernelBuilder::and_b, 0b1100, 0b1010, 0b1000},
@@ -363,6 +367,52 @@ TEST(Interp, AtomicAddAccumulatesAcrossThreads) {
   dims.grid_x = 4;
   interp.run(ir, dims, args, mem);
   EXPECT_EQ(mem.read<std::int64_t>(64), 128);
+}
+
+// --- int64 overflow wraps on both tiers ---------------------------------------------
+
+TEST(Interp, Int64OverflowWrapsOnBothTiers) {
+  // INT64_MIN / -1 and INT64_MIN % -1 overflow in C++ (and trap on x86);
+  // the IR defines them to wrap like add/sub/mul: the quotient is INT64_MIN,
+  // the remainder 0, and abs(INT64_MIN) is INT64_MIN. The entry block runs
+  // abs on Tier 2's vector prologue, the values loaded from memory run it on
+  // the scalar path.
+  constexpr std::int64_t kMin = std::numeric_limits<std::int64_t>::min();
+  Tier2Engine& eng = Tier2Engine::instance();
+  const Tier2Engine::Mode entry_mode = eng.mode();
+  for (const auto mode : {Tier2Engine::Mode::kForceTier1, Tier2Engine::Mode::kForceTier2}) {
+    eng.set_mode(mode);
+    const Tier2Stats before = eng.stats();
+    AddressSpace mem(kMem, "m");
+    mem.write<std::int64_t>(0, kMin);
+    mem.write<std::int64_t>(8, -1);
+    run1(
+        [&](KernelBuilder& b) {
+          const auto addr = b.reg(), lo = b.reg(), m1 = b.reg(), abs_vec = b.reg();
+          const auto q = b.reg(), rem = b.reg(), abs_scalar = b.reg();
+          b.mov_imm_i(addr, 0);
+          b.mov_imm_i(lo, kMin);
+          b.abs_i(abs_vec, lo);
+          b.ld_global_i64(lo, addr);
+          b.ld_global_i64(m1, addr, 8);
+          b.div_i(q, lo, m1);
+          b.rem_i(rem, lo, m1);
+          b.abs_i(abs_scalar, lo);
+          b.st_global_i64(q, addr, 16);
+          b.st_global_i64(rem, addr, 24);
+          b.st_global_i64(abs_vec, addr, 32);
+          b.st_global_i64(abs_scalar, addr, 40);
+          b.ret();
+        },
+        mem);
+    const bool tier2 = mode == Tier2Engine::Mode::kForceTier2;
+    EXPECT_EQ((eng.stats() - before).launches_tier2, tier2 ? 1u : 0u);
+    EXPECT_EQ(mem.read<std::int64_t>(16), kMin) << "div, tier2=" << tier2;
+    EXPECT_EQ(mem.read<std::int64_t>(24), 0) << "rem, tier2=" << tier2;
+    EXPECT_EQ(mem.read<std::int64_t>(32), kMin) << "abs (prologue), tier2=" << tier2;
+    EXPECT_EQ(mem.read<std::int64_t>(40), kMin) << "abs (scalar), tier2=" << tier2;
+  }
+  eng.set_mode(entry_mode);
 }
 
 // --- error handling --------------------------------------------------------------

@@ -10,7 +10,10 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <array>
+#include <bit>
 #include <cstring>
+#include <limits>
 #include <filesystem>
 #include <string>
 #include <tuple>
@@ -18,6 +21,7 @@
 
 #include "core/scenario.hpp"
 #include "interp/decoded.hpp"
+#include "interp/superinst.hpp"
 #include "interp/interpreter.hpp"
 #include "interp/tier2.hpp"
 #include "ir/builder.hpp"
@@ -230,6 +234,217 @@ TEST(Tier2Differential, AccessHookSeesByteIdenticalChunkStreamsOnBothTiers) {
       EXPECT_TRUE(t1[c] == t2[c]) << w.app << ": chunk " << c << " stream diverged";
     }
   }
+}
+
+// --- every-op differential ----------------------------------------------------
+
+/// Register bit patterns of FP values (f32 in the low 32 bits, as set_f32
+/// leaves them).
+std::uint64_t bits_of(float v) { return std::bit_cast<std::uint32_t>(v); }
+std::uint64_t bits_of(double v) { return std::bit_cast<std::uint64_t>(v); }
+
+/// Raw register patterns every register op runs on: integer edges and shift
+/// counts, then f32 and f64 signed zeros, infinities, NaN and subnormals.
+std::vector<std::uint64_t> edge_corpus() {
+  using F = std::numeric_limits<float>;
+  using D = std::numeric_limits<double>;
+  return {
+      0,
+      1,
+      ~0ull,       // -1
+      1ull << 63,  // INT64_MIN, -0.0 as f64
+      ~0ull >> 1,  // INT64_MAX
+      63,          // shift counts 63 and 64
+      64,
+      bits_of(-0.0f),
+      bits_of(1.5f),
+      bits_of(F::infinity()),
+      bits_of(-F::infinity()),
+      bits_of(F::quiet_NaN()),
+      bits_of(F::denorm_min()),
+      bits_of(-2.5),
+      bits_of(D::infinity()),
+      bits_of(-D::infinity()),
+      bits_of(D::quiet_NaN()),
+      bits_of(D::denorm_min()),
+  };
+}
+
+/// Operand corpus of `op`: the edge corpus, except for the conversions that
+/// C++ only defines for in-range sources (float -> int, f64 -> f32), which
+/// get sources whose f32 and f64 readings are both in range.
+std::vector<std::uint64_t> corpus_for(Opcode op) {
+  if (op != Opcode::kCvtF32ToI && op != Opcode::kCvtF64ToI && op != Opcode::kCvtF64ToF32) {
+    return edge_corpus();
+  }
+  return {
+      0,
+      1,
+      1ull << 63,
+      bits_of(-0.0f),
+      bits_of(1.5f),
+      bits_of(-1e9f),
+      bits_of(std::numeric_limits<float>::denorm_min()),
+      bits_of(-2.5),
+      bits_of(1e10),
+  };
+}
+
+/// Every operand tuple of `op` over its corpus (src0, src1, src2; unused
+/// slots 0), minus zero divisors for the trapping ops.
+std::vector<std::array<std::uint64_t, 3>> operand_tuples(Opcode op) {
+  const OpTraits k = op_traits(op);
+  const std::vector<std::uint64_t> c = corpus_for(op);
+  const std::size_t arity = k.shape == OpShape::kUn ? 1 : k.shape == OpShape::kBin ? 2 : 3;
+  std::vector<std::array<std::uint64_t, 3>> out;
+  for (std::uint64_t a : c) {
+    for (std::uint64_t b : arity >= 2 ? c : std::vector<std::uint64_t>{0}) {
+      if ((k.flags & kOpTrapZero) && b == 0) continue;
+      for (std::uint64_t cc : arity == 3 ? c : std::vector<std::uint64_t>{0}) {
+        out.push_back({a, b, cc});
+      }
+    }
+  }
+  return out;
+}
+
+/// Retypes every fma.f64 of `ir` (the three-source placeholder the kernels
+/// below emit) to `op`.
+KernelIR retype_placeholder(KernelIR ir, Opcode op) {
+  for (Instr& in : ir.blocks[0].instrs) {
+    if (in.op == Opcode::kFmaF64) in.op = op;
+  }
+  return ir;
+}
+
+/// Scalar path: thread `gid` loads its operands from in[3*gid..] (a global
+/// load ends the vector prologue before the op) and stores the result bits
+/// to out[gid].
+KernelIR scalar_path_kernel(Opcode op) {
+  KernelBuilder b("every_op_scalar", 2);
+  const auto in = b.reg(), out = b.reg(), gid = b.reg(), t = b.reg(), n = b.reg();
+  const auto src = b.reg(), dst = b.reg(), x = b.reg(), y = b.reg(), z = b.reg();
+  const auto res = b.reg();
+  b.block("entry");
+  b.ld_param(in, 0);
+  b.ld_param(out, 1);
+  b.special(gid, SpecialReg::kTidX);
+  b.special(t, SpecialReg::kCtaidX);
+  b.special(n, SpecialReg::kNtidX);
+  b.mul_i(t, t, n);
+  b.add_i(gid, gid, t);
+  b.mov_imm_i(n, 24);
+  b.mul_i(src, gid, n);
+  b.add_i(src, src, in);        // &in[3 * gid]
+  b.addr_of(dst, out, gid, 3);  // &out[gid]
+  b.ld_global_i64(x, src);
+  b.ld_global_i64(y, src, 8);
+  b.ld_global_i64(z, src, 16);
+  b.fma_f64(res, x, y, z);
+  b.st_global_i64(res, dst);
+  b.ret();
+  return retype_placeholder(b.build(), op);
+}
+
+/// Vector path: tuples [first, first + count) built from immediates in the
+/// entry block, each op writing its own register, then stored to out[i].
+KernelIR vector_path_kernel(Opcode op, const std::vector<std::array<std::uint64_t, 3>>& tuples,
+                            std::size_t first, std::size_t count) {
+  KernelBuilder b("every_op_vector", 1);
+  const auto out = b.reg(), x = b.reg(), y = b.reg(), z = b.reg();
+  std::vector<KernelBuilder::Reg> res;
+  for (std::size_t i = 0; i < count; ++i) res.push_back(b.reg());
+  b.block("entry");
+  b.ld_param(out, 0);
+  for (std::size_t i = 0; i < count; ++i) {
+    const auto& ops = tuples[first + i];
+    b.mov_imm_i(x, std::bit_cast<std::int64_t>(ops[0]));
+    b.mov_imm_i(y, std::bit_cast<std::int64_t>(ops[1]));
+    b.mov_imm_i(z, std::bit_cast<std::int64_t>(ops[2]));
+    b.fma_f64(res[i], x, y, z);
+  }
+  for (std::size_t i = 0; i < count; ++i) {
+    b.st_global_i64(res[i], out, static_cast<std::int64_t>(8 * i));
+  }
+  b.ret();
+  return retype_placeholder(b.build(), op);
+}
+
+/// One launch on a forced tier; returns the memory image and profile.
+RunResult run_forced(const KernelIR& ir, const LaunchDims& dims, const KernelArgs& args,
+                     const std::vector<std::uint64_t>& input, Tier2Engine::Mode mode) {
+  Tier2Engine& eng = Tier2Engine::instance();
+  eng.set_mode(mode);
+  AddressSpace mem(1 << 20, "m");
+  for (std::size_t i = 0; i < input.size(); ++i) mem.write<std::uint64_t>(8 * i, input[i]);
+  Interpreter::Options opts;
+  opts.workers = 1;
+  const Tier2Stats before = eng.stats();
+  RunResult out;
+  out.profile = Interpreter().run(ir, dims, args, mem, opts);
+  EXPECT_EQ((eng.stats() - before).launches_tier2,
+            mode == Tier2Engine::Mode::kForceTier2 ? 1u : 0u);
+  out.memory.resize(mem.size());
+  mem.copy_out(out.memory.data(), 0, out.memory.size());
+  return out;
+}
+
+void expect_tiers_identical(const KernelIR& ir, const LaunchDims& dims, const KernelArgs& args,
+                            const std::vector<std::uint64_t>& input, const std::string& label) {
+  const RunResult t1 = run_forced(ir, dims, args, input, Tier2Engine::Mode::kForceTier1);
+  const RunResult t2 = run_forced(ir, dims, args, input, Tier2Engine::Mode::kForceTier2);
+  EXPECT_TRUE(t1.memory == t2.memory) << label << ": memory image diverged";
+  expect_profiles_identical(t1.profile, t2.profile, label);
+}
+
+TEST(Tier2Differential, EveryRegisterOpMatchesTier1OnEdgeOperands) {
+  // Walks the op table, so a new register-op row is covered without touching
+  // this test: every Un/Bin/Tern row runs over its operand corpus once on
+  // the scalar path and once on the vector prologue, byte-compared (memory
+  // and DynamicProfile) between forced Tier 1 and forced Tier 2.
+  EngineSandbox sandbox;
+  constexpr std::uint64_t kIn = 4096;      // operand tuples, 3 words each
+  constexpr std::uint64_t kOut = 1 << 19;  // results, one word each
+  constexpr std::size_t kPerKernel = 200;  // vector-path tuples per kernel (256 regs)
+  std::size_t ops = 0;
+  for (std::size_t i = 0; i < kNumOpcodes; ++i) {
+    const Opcode op = static_cast<Opcode>(i);
+    const OpShape shape = op_traits(op).shape;
+    if (shape != OpShape::kUn && shape != OpShape::kBin && shape != OpShape::kTern) continue;
+    ++ops;
+    const std::string name(opcode_name(op));
+    const auto tuples = operand_tuples(op);
+
+    // Scalar path: one thread per tuple, padded to whole 64-thread blocks.
+    const std::size_t threads = (tuples.size() + 63) / 64 * 64;
+    ASSERT_LE(kIn + 24 * threads, kOut) << name;
+    std::vector<std::uint64_t> input(kIn / 8, 0);
+    for (std::size_t t = 0; t < threads; ++t) {
+      for (const std::uint64_t v : tuples[t % tuples.size()]) input.push_back(v);
+    }
+    KernelArgs scalar_args;
+    scalar_args.push_ptr(kIn);
+    scalar_args.push_ptr(kOut);
+    expect_tiers_identical(scalar_path_kernel(op),
+                           LaunchDims{static_cast<std::uint32_t>(threads / 64), 1, 64, 1},
+                           scalar_args, input, name + " (scalar path)");
+
+    // Vector path: 8 lanes run each kernel's prologue in lockstep.
+    KernelArgs vec_args;
+    vec_args.push_ptr(kOut);
+    for (std::size_t first = 0; first < tuples.size(); first += kPerKernel) {
+      const std::size_t count = std::min(kPerKernel, tuples.size() - first);
+      const KernelIR ir = vector_path_kernel(op, tuples, first, count);
+      if (op_has(op, kOpVec)) {  // the op really runs in the prologue
+        const auto lowered = interp_detail::lower_program(*interp_detail::decode_kernel(ir), 3);
+        ASSERT_NE(lowered, nullptr) << name;
+        EXPECT_EQ(lowered->prologue.size(), 1 + 4 * count) << name;
+      }
+      expect_tiers_identical(ir, LaunchDims{1, 1, 8, 1}, vec_args, {},
+                             name + " (vector path, tuple " + std::to_string(first) + ")");
+    }
+  }
+  EXPECT_GE(ops, 71u);  // the table's register ops at the time of writing
 }
 
 // --- promotion policy ---------------------------------------------------------
